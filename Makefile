@@ -184,10 +184,11 @@ fleet-bench-smoke:
 
 # Chaos suite, short mode, under the race detector: connection resets,
 # latency/jitter, short writes and report storms against the streaming
-# server, asserting convergence and the per-AP switch-rate bound.
+# server, asserting convergence and the per-AP switch-rate bound, plus the
+# scoped-pass isolation, unchanged-report and pass-serialization checks.
 stream-chaos:
 	$(GO) test -race -short -count=1 \
-		-run 'TestStreamChaosStorm|TestChaosConvergence|TestReconnectReplayStaysQuarantined' \
+		-run 'TestStreamChaosStorm|TestChaosConvergence|TestReconnectReplayStaysQuarantined|TestScopedPassIsolation|TestUnchangedReportsDoNotMark|TestUnchangedResendCommitsPendingSwitch|TestReallocateSerializesWithStreamPasses' \
 		./internal/ctlnet/ > /dev/null
 
 # Boots acornd with -obs-addr and asserts /metrics and /healthz serve the

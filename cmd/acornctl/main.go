@@ -153,7 +153,7 @@ func serve(args []string) {
 	shardQueue := fs.Int("shard-queue", 0, "per-shard report queue capacity; a full queue sheds oldest-first (0 = default 4096)")
 	spatialIndex := fs.Bool("spatial-index", true, "prune the contention-graph pair scan with the uniform-grid spatial index (exact — the graph is bit-identical; false forces the full O(P²) scan)")
 	gridCellM := fs.Float64("grid-cell-m", 0, "spatial-index grid cell size in meters (0 = the carrier-sense cutoff radius)")
-	stream := fs.Bool("stream", false, "event-driven mode: reallocate the dirty hear-graph neighbourhood on every fresh report instead of waiting for -period")
+	stream := fs.Bool("stream", false, "event-driven mode: on every report that changes an AP's measurements, reallocate the hear-graph components of its neighbourhood instead of waiting for -period")
 	streamDebounce := fs.Duration("stream-debounce", ctlnet.DefaultStreamDebounce, "wake-to-drain delay coalescing report bursts (with -stream; negative disables)")
 	streamWatchdog := fs.Duration("stream-watchdog", 0, "max age of the last full pass before the stream forces one (with -stream; 0 = -period, negative disables)")
 	switchMargin := fs.Float64("switch-margin", core.DefaultGateMargin, "hysteresis: minimum relative goodput gain a channel switch must offer (with -stream; negative disables)")

@@ -923,6 +923,16 @@ func (g *SwitchGate) Consider(ap string, ch spectrum.Channel, relGain float64, b
 	return true
 }
 
+// Pending reports whether the gate holds a proposal for ap that has not
+// committed yet: one still earning its streak, or one waiting for a rate
+// token. Another evaluation of the same proposal may commit it.
+func (g *SwitchGate) Pending(ap string) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	a := g.aps[ap]
+	return a != nil && a.hasPending
+}
+
 func (a *gateAP) prune(now time.Time, window time.Duration) {
 	cut := 0
 	for cut < len(a.switches) && now.Sub(a.switches[cut]) > window {

@@ -2,8 +2,10 @@ package ctlnet
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net"
 	"sort"
 	"sync"
@@ -13,7 +15,6 @@ import (
 	"acorn/internal/obs"
 	"acorn/internal/rf"
 	"acorn/internal/spectrum"
-	"acorn/internal/stats"
 	"acorn/internal/units"
 	"acorn/internal/wlan"
 )
@@ -36,7 +37,7 @@ const (
 // flapping AP does not blind the allocator; ReportTTL controls how long
 // such a view may feed Reallocate before it is quarantined.
 type Server struct {
-	// Seed drives the allocation's random initial coloring.
+	// Seed drives each AP's starting channel for the search (seedChannel).
 	Seed int64
 	// Alloc tunes Algorithm 2 (worker count, period/switch bounds) for
 	// every Reallocate. The zero value keeps the defaults.
@@ -90,12 +91,21 @@ type Server struct {
 	shardSet  []*shard
 	shardStop chan struct{}
 
-	mu          sync.Mutex
-	agents      map[string]*agentConn // by AP ID
-	reports     map[string]storedReport
-	hellos      map[string]Hello
-	assign      map[string]spectrum.Channel
-	lastRealloc time.Time // last successful Reallocate
+	// passMu serializes reallocation passes, so a full pass and a stream
+	// pass never interleave their snapshot → install → push.
+	passMu sync.Mutex
+
+	mu      sync.Mutex
+	agents  map[string]*agentConn // by AP ID
+	reports map[string]storedReport
+	hellos  map[string]Hello
+	// hears is the reported hear-graph, maintained as reports change.
+	hears  hearGraph
+	assign map[string]spectrum.Channel
+	// cells20 and cells40 count the assignment table's widths, kept in
+	// step by install so the fleet-wide gauges never rescan the table.
+	cells20, cells40 int
+	lastRealloc      time.Time // last successful Reallocate
 
 	metricsOnce sync.Once
 	metrics     *serverMetrics
@@ -119,6 +129,7 @@ type serverMetrics struct {
 	reportsTotal    *obs.Counter
 	reportsStale    *obs.Counter
 	reportsReplayed *obs.Counter
+	reportsNoop     *obs.Counter
 	quarantined     *obs.Counter
 	reallocs        *obs.Counter
 	reallocSkipped  *obs.Counter
@@ -129,6 +140,9 @@ type serverMetrics struct {
 	streamFailures  *obs.Counter
 	streamWatchdog  *obs.Counter
 	streamVetoes    *obs.Counter
+	passViewAPs     *obs.Histogram
+	cells20         *obs.Gauge
+	cells40         *obs.Gauge
 
 	shardReports   *obs.CounterVec
 	shardCoalesced *obs.CounterVec
@@ -160,6 +174,8 @@ func (s *Server) m() *serverMetrics {
 				"reports dropped for an out-of-order sequence"),
 			reportsReplayed: reg.Counter("acorn_ctlnet_reports_replayed_total",
 				"reconnect replays accepted without refreshing the report's age"),
+			reportsNoop: reg.Counter("acorn_ctlnet_reports_unchanged_total",
+				"fresh reports whose measurements equal the stored report's"),
 			quarantined: reg.Counter("acorn_ctlnet_reports_quarantined_total",
 				"stale reports quarantined past the TTL at reallocation"),
 			reallocs: reg.Counter("acorn_ctlnet_reallocations_total",
@@ -180,6 +196,13 @@ func (s *Server) m() *serverMetrics {
 				"watchdog-forced full passes in stream mode"),
 			streamVetoes: reg.Counter("acorn_ctlnet_stream_switch_vetoes_total",
 				"proposed channel switches the anti-flap gate refused"),
+			passViewAPs: reg.Histogram("acorn_ctlnet_pass_view_aps",
+				"APs in the measurement view of one reallocation pass",
+				[]float64{1, 4, 16, 64, 256, 1024, 4096, 16384}),
+			// The same gauges core.RecordAllocMetrics sets from a view; the
+			// server overwrites them with the whole table after every pass.
+			cells20: reg.Gauge("acorn_core_cells_20mhz", "cells on a 20 MHz channel"),
+			cells40: reg.Gauge("acorn_core_cells_40mhz", "cells on a bonded 40 MHz channel"),
 			shardReports: reg.CounterVec("acorn_ctlnet_shard_reports_total",
 				"reports entering each inbound shard queue", "shard"),
 			shardCoalesced: reg.CounterVec("acorn_ctlnet_shard_reports_coalesced_total",
@@ -203,8 +226,8 @@ func (s *Server) m() *serverMetrics {
 				"assignment pushes dropped because the connection already holds that assignment"),
 			pushCoalesced: reg.Counter("acorn_ctlnet_pushes_coalesced_total",
 				"queued assignment pushes replaced latest-wins before hitting the wire"),
-			pushErrors:  s.metrics.pushErrors,
-			pushWin:     s.metrics.pushWin,
+			pushErrors: s.metrics.pushErrors,
+			pushWin:    s.metrics.pushWin,
 		}
 		reg.GaugeFunc("acorn_ctlnet_last_reallocation_age_seconds",
 			"seconds since the last successful reallocation (-1 before the first)",
@@ -263,6 +286,7 @@ func NewServer(seed int64) *Server {
 		agents:  map[string]*agentConn{},
 		reports: map[string]storedReport{},
 		hellos:  map[string]Hello{},
+		hears:   hearGraph{},
 		assign:  map[string]spectrum.Channel{},
 	}
 }
@@ -568,11 +592,97 @@ func (s *Server) Reallocate() (map[string]spectrum.Channel, error) {
 	return out, err
 }
 
+// passInput is what one pass reads from the controller state: the hellos,
+// reports and assignments of its scope, and the TTL verdicts of those
+// reports.
+type passInput struct {
+	hellos      map[string]Hello
+	reports     map[string]Report
+	assign      map[string]spectrum.Channel
+	fresh       int
+	quarantined []string
+}
+
+// snapshot copies a pass's scope out of the controller state. A full pass
+// (only nil) scopes every known AP. A restricted pass scopes the hear-graph
+// components holding an AP of only: contention never crosses a component,
+// so nothing outside them can change the search's ranks, and the view
+// built from the scope equals the whole view restricted to it.
+func (s *Server) snapshot(only map[string]bool) passInput {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ids []string
+	if only == nil {
+		ids = make([]string, 0, len(s.hellos))
+		for id := range s.hellos {
+			ids = append(ids, id)
+		}
+	} else {
+		ids = s.hears.closure(only, s.hellos)
+	}
+	in := passInput{
+		hellos:  make(map[string]Hello, len(ids)),
+		reports: make(map[string]Report, len(ids)),
+		assign:  make(map[string]spectrum.Channel, len(ids)),
+	}
+	now := time.Now()
+	for _, id := range ids {
+		in.hellos[id] = s.hellos[id]
+		if ch, ok := s.assign[id]; ok {
+			in.assign[id] = ch
+		}
+		sr, ok := s.reports[id]
+		if !ok {
+			continue
+		}
+		in.reports[id] = sr.rep
+		if s.ReportTTL > 0 && now.Sub(sr.recv) > s.ReportTTL {
+			in.quarantined = append(in.quarantined, fmt.Sprintf("%s (age %v)", id, now.Sub(sr.recv).Round(time.Millisecond)))
+		} else {
+			in.fresh++
+		}
+	}
+	return in
+}
+
+// install stores an AP's assignment and keeps the width counts in step.
+// Callers hold s.mu.
+func (s *Server) install(apID string, ch spectrum.Channel) {
+	if old, ok := s.assign[apID]; ok {
+		s.countCell(old, -1)
+	}
+	s.assign[apID] = ch
+	s.countCell(ch, 1)
+}
+
+func (s *Server) countCell(ch spectrum.Channel, d int) {
+	switch ch.Width {
+	case spectrum.Width20:
+		s.cells20 += d
+	case spectrum.Width40:
+		s.cells40 += d
+	}
+}
+
+// seedChannel is an AP's starting channel for the search, drawn from a hash
+// of the server seed and the AP ID: it depends neither on which APs share
+// the pass nor on the order they said hello.
+func seedChannel(seed int64, apID string, channels []spectrum.Channel) spectrum.Channel {
+	h := fnv.New64a()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(seed))
+	h.Write(b[:])
+	h.Write([]byte(apID))
+	return channels[h.Sum64()%uint64(len(channels))]
+}
+
 // reallocate is the shared engine behind the periodic full pass (only nil)
 // and the streaming neighbourhood pass (only = dirty APs plus their
-// hear-graph neighbours; every other AP holds its channel). In stream mode
-// each proposed switch is replayed through the switch gate; vetoed switches
-// keep the AP's previous assignment.
+// hear-graph neighbours; every other AP holds its channel). A restricted
+// pass copies, builds, sweeps, prices and pushes only its scope (see
+// snapshot), so its cost follows the size of the change, not the fleet.
+// In stream mode each proposed switch is replayed through the switch gate;
+// vetoed switches keep the AP's previous assignment.
 //
 // pspan is the caller's pass span (a dead ref when tracing is off): the
 // stage boundaries crossed here — view build, association sweep, channel
@@ -580,57 +690,42 @@ func (s *Server) Reallocate() (map[string]spectrum.Channel, error) {
 // evaluation time is attributed. The caller Ends the span; an errored pass
 // leaves it unfinished, which the tracer never exports.
 func (s *Server) reallocate(only map[string]bool, bypassStreak bool, pspan obs.SpanRef) (map[string]spectrum.Channel, error) {
+	s.passMu.Lock()
+	defer s.passMu.Unlock()
 	m := s.m()
 	span := m.reg.Histogram("acorn_ctlnet_reallocate_seconds",
 		"wall time of one networked reallocation (view build + search + push)", nil).Start()
-	s.mu.Lock()
-	hellos := make(map[string]Hello, len(s.hellos))
-	for k, v := range s.hellos {
-		hellos[k] = v
-	}
-	reports := make(map[string]Report, len(s.reports))
-	now := time.Now()
-	fresh := 0
-	var quarantined []string
-	for k, v := range s.reports {
-		reports[k] = v.rep
-		if s.ReportTTL > 0 && now.Sub(v.recv) > s.ReportTTL {
-			quarantined = append(quarantined, fmt.Sprintf("%s (age %v)", k, now.Sub(v.recv).Round(time.Millisecond)))
-		} else {
-			fresh++
-		}
-	}
-	s.mu.Unlock()
-	if len(hellos) == 0 {
+	in := s.snapshot(only)
+	if len(in.hellos) == 0 {
 		m.reallocSkipped.Inc()
 		return nil, fmt.Errorf("ctlnet: no agents known")
 	}
-	if len(quarantined) > 0 {
-		sort.Strings(quarantined)
-		m.quarantined.Add(uint64(len(quarantined)))
+	if len(in.quarantined) > 0 {
+		sort.Strings(in.quarantined)
+		m.quarantined.Add(uint64(len(in.quarantined)))
 		s.log().Warn("quarantined stale reports, using last-known-good",
-			"count", len(quarantined), "ttl", s.ReportTTL, "aps", quarantined)
+			"count", len(in.quarantined), "ttl", s.ReportTTL, "aps", in.quarantined)
 	}
-	if len(reports) > 0 && fresh == 0 {
+	if len(in.reports) > 0 && in.fresh == 0 {
 		m.reallocSkipped.Inc()
 		return nil, fmt.Errorf("ctlnet: refusing to reallocate: all %d reports stale (TTL %v)",
-			len(reports), s.ReportTTL)
+			len(in.reports), s.ReportTTL)
 	}
 
-	n, cfg := buildView(hellos, reports)
-	// Seed the search from a random coloring, or from the previous
-	// assignment when one exists (incremental reallocation).
-	rng := stats.NewRand(s.Seed)
-	core.RandomInitial(n, cfg, rng.Intn)
-	prevAssign := make(map[string]spectrum.Channel)
-	s.mu.Lock()
-	for apID, ch := range s.assign {
-		if n.AP(apID) != nil && n.Band.Contains(ch) {
-			cfg.Channels[apID] = ch
-			prevAssign[apID] = ch
+	n, cfg := buildView(in.hellos, in.reports)
+	m.passViewAPs.Observe(float64(len(n.APs)))
+	// Seed the search from each AP's previous assignment when one exists
+	// (incremental reallocation), else from its hashed seed channel.
+	channels := n.Band.AllChannels()
+	prevAssign := make(map[string]spectrum.Channel, len(in.assign))
+	for _, ap := range n.APs {
+		if ch, ok := in.assign[ap.ID]; ok && n.Band.Contains(ch) {
+			cfg.Channels[ap.ID] = ch
+			prevAssign[ap.ID] = ch
+		} else {
+			cfg.Channels[ap.ID] = seedChannel(s.Seed, ap.ID, channels)
 		}
 	}
-	s.mu.Unlock()
 	pspan.Mark(PassStageView)
 	// Re-run Algorithm 1 over the view before allocating, so the channel
 	// search prices the associations the view's geometry actually supports.
@@ -661,22 +756,20 @@ func (s *Server) reallocate(only map[string]bool, bypassStreak bool, pspan obs.S
 	pspan.Attr(PassAttrRankEval, time.Duration(allocStats.RankNanos), uint64(allocStats.Evals.RankEvals))
 
 	out := s.gateAndInstall(prevAssign, only, bypassStreak, alloc.Channels, allocStats.History)
+	conns := make(map[string]*agentConn, len(out))
 	s.mu.Lock()
 	for apID, ch := range out {
-		s.assign[apID] = ch
+		s.install(apID, ch)
+		if ac, ok := s.agents[apID]; ok {
+			conns[apID] = ac
+		}
 	}
-	conns := make(map[string]*agentConn, len(s.agents))
-	for id, ac := range s.agents {
-		conns[id] = ac
-	}
+	cells20, cells40 := s.cells20, s.cells40
 	s.lastRealloc = time.Now()
 	s.mu.Unlock()
 	pspan.Mark(PassStageGate)
 	for apID, ac := range conns {
-		ch, ok := out[apID]
-		if !ok {
-			continue
-		}
+		ch := out[apID]
 		// Restricted passes only push assignments that actually changed;
 		// full passes push everything (reconnected agents may hold nothing).
 		if only != nil {
@@ -692,6 +785,10 @@ func (s *Server) reallocate(only map[string]bool, bypassStreak bool, pspan obs.S
 		s.noteFullPass()
 	}
 	core.RecordAllocMetrics(m.reg, allocStats, alloc)
+	// RecordAllocMetrics counted the view's cells; the width gauges
+	// describe the whole assignment table.
+	m.cells20.Set(float64(cells20))
+	m.cells40.Set(float64(cells40))
 	span.End()
 	return out, nil
 }

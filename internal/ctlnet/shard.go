@@ -12,10 +12,12 @@ package ctlnet
 
 import (
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
+	"acorn/internal/core"
 	"acorn/internal/obs"
 )
 
@@ -211,10 +213,19 @@ func (s *Server) shardPump(sh *shard) {
 // table, preserving the per-AP sequence discipline: out-of-order reports
 // are dropped as stale, equal sequences are reconnect replays that keep
 // their original receive time (no TTL laundering), fresh reports mark
-// their AP dirty in stream mode.
+// their AP dirty in stream mode. A fresh report whose measurements equal
+// the stored ones refreshes the stored sequence and receive time but marks
+// its AP only while the AP has no assignment yet or the switch gate holds
+// a pending proposal for it, which the re-send's pass may then commit.
 func (s *Server) applyReports(batch []reportEvent) {
 	m := s.m()
-	var applied, stale, replayed uint64
+	var gate *core.SwitchGate
+	if s.Stream.Enabled {
+		s.stream.mu.Lock()
+		gate = s.stream.gate
+		s.stream.mu.Unlock()
+	}
+	var applied, stale, replayed, unchanged uint64
 	var staleAP string
 	var dirty []dirtyMark
 	s.mu.Lock()
@@ -231,11 +242,24 @@ func (s *Server) applyReports(batch []reportEvent) {
 		if replay {
 			recv = prev.recv
 		}
+		if !had || !slices.Equal(prev.rep.Hears, ev.rep.Hears) {
+			if had {
+				s.hears.link(ev.apID, prev.rep.Hears, -1)
+			}
+			s.hears.link(ev.apID, ev.rep.Hears, 1)
+		}
 		s.reports[ev.apID] = storedReport{rep: ev.rep, recv: recv}
 		applied++
-		if replay {
+		switch {
+		case replay:
 			replayed++
-		} else if s.Stream.Enabled {
+		case had && equalReportBody(&prev.rep, &ev.rep):
+			unchanged++
+			_, assigned := s.assign[ev.apID]
+			if s.Stream.Enabled && (!assigned || (gate != nil && gate.Pending(ev.apID))) {
+				dirty = append(dirty, dirtyMark{ap: ev.apID, at: recv})
+			}
+		case s.Stream.Enabled:
 			dirty = append(dirty, dirtyMark{ap: ev.apID, at: recv})
 		}
 	}
@@ -249,6 +273,9 @@ func (s *Server) applyReports(batch []reportEvent) {
 	}
 	if replayed > 0 {
 		m.reportsReplayed.Add(replayed)
+	}
+	if unchanged > 0 {
+		m.reportsNoop.Add(unchanged)
 	}
 	for _, d := range dirty {
 		s.markDirty(d.ap, d.at)

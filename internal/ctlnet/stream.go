@@ -1,21 +1,21 @@
 package ctlnet
 
 // Event-driven controller mode: instead of waiting for the next periodic
-// Reallocate, every accepted report marks its AP dirty in a coalesced set
-// (latest-wins per AP — a storm of reports from one AP is one unit of work)
-// and wakes a consumer goroutine. The consumer debounces briefly so a burst
-// collapses into one pass, expands the dirty set one hop through the
-// reported hear-graph, and runs a reallocation restricted to that
-// neighbourhood with every proposed switch judged by a core.SwitchGate
-// (goodput hysteresis, per-AP token buckets, flap accounting). A watchdog
-// forces a periodic full ungated-streak pass so vetoed or failed work is
-// never stranded.
+// Reallocate, every accepted report that changes its AP's measurements
+// marks the AP dirty in a coalesced set (latest-wins per AP — a storm of
+// reports from one AP is one unit of work) and wakes a consumer goroutine.
+// The consumer debounces briefly so a burst collapses into one pass,
+// expands the dirty set one hop through the reported hear-graph, and runs
+// a reallocation restricted to that neighbourhood — built, priced and
+// pushed over only the hear-graph components it touches — with every
+// proposed switch judged by a core.SwitchGate (goodput hysteresis, per-AP
+// token buckets, flap accounting). A watchdog forces a periodic full
+// ungated-streak pass so vetoed or failed work is never stranded.
 //
-// The periodic path is untouched: with Stream.Enabled false the server
-// behaves exactly as before, and even in stream mode the public Reallocate
-// remains the authoritative full pass (it bypasses the streak rule but
-// still pays rate tokens, so the per-AP switch-rate bound holds across both
-// paths).
+// With Stream.Enabled false the server only runs full passes, and even in
+// stream mode the public Reallocate remains the authoritative full pass
+// (it bypasses the streak rule but still pays rate tokens, so the per-AP
+// switch-rate bound holds across both paths).
 
 import (
 	"fmt"
@@ -206,20 +206,66 @@ func (s *Server) hearNeighbourhood(dirty map[string]bool) map[string]bool {
 	defer s.mu.Unlock()
 	out := make(map[string]bool, 2*len(dirty))
 	for ap := range dirty {
-		if _, known := s.hellos[ap]; known {
-			out[ap] = true
+		if _, known := s.hellos[ap]; !known {
+			continue
+		}
+		out[ap] = true
+		for nb := range s.hears[ap] {
+			if _, known := s.hellos[nb]; known {
+				out[nb] = true
+			}
 		}
 	}
-	for ap, sr := range s.reports {
-		for _, other := range sr.rep.Hears {
-			if _, known := s.hellos[other]; !known {
-				continue
-			}
-			if dirty[ap] {
-				out[other] = true
-			}
-			if dirty[other] {
-				out[ap] = true
+	return out
+}
+
+// hearGraph is the reported hear-graph as a symmetric adjacency: edge
+// {a, b} counts every mention of b in a's stored report and of a in b's, so
+// it lasts while either report lists the other. applyReports keeps it in
+// step with the report table; queries filter it against known hellos, as
+// buildView does.
+type hearGraph map[string]map[string]int
+
+// link adds (d = 1) or removes (d = -1) the edges of one AP's hear list.
+func (g hearGraph) link(ap string, hears []string, d int) {
+	for _, o := range hears {
+		if o != ap {
+			g.add(ap, o, d)
+			g.add(o, ap, d)
+		}
+	}
+}
+
+func (g hearGraph) add(a, b string, d int) {
+	row := g[a]
+	if row == nil {
+		row = make(map[string]int)
+		g[a] = row
+	}
+	if row[b] += d; row[b] == 0 {
+		delete(row, b)
+		if len(row) == 0 {
+			delete(g, a)
+		}
+	}
+}
+
+// closure returns the known APs of only plus every AP connected to one of
+// them through known APs: the union of their hear-graph components.
+func (g hearGraph) closure(only map[string]bool, known map[string]Hello) []string {
+	seen := make(map[string]bool, len(only))
+	out := make([]string, 0, len(only))
+	for ap := range only {
+		if _, ok := known[ap]; ok {
+			seen[ap] = true
+			out = append(out, ap)
+		}
+	}
+	for i := 0; i < len(out); i++ {
+		for nb := range g[out[i]] {
+			if _, ok := known[nb]; ok && !seen[nb] {
+				seen[nb] = true
+				out = append(out, nb)
 			}
 		}
 	}
