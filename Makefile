@@ -118,23 +118,28 @@ stream-bench-smoke:
 
 # Smoke the tracing-overhead harness: one iteration of the traced
 # benchmark pair (identical event mix, tracing off vs every-event), piped
-# through benchjson with the On/Off overhead derivation so the whole
-# BENCH_trace.json pipeline is exercised. Real numbers come from `bench`,
-# which regenerates the artifact from full-length runs.
+# through benchjson with the On/Off overhead derivation into a scratch file
+# whose derived key is asserted, so the whole BENCH_trace.json pipeline is
+# exercised. The committed BENCH_trace.json comes from `bench`, which
+# regenerates it from full-length runs; one-iteration numbers never
+# overwrite it.
 trace-bench-smoke:
 	@mkdir -p $(BUILD_DIR)
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamTraced' -benchmem \
 		-benchtime=1x -count=1 ./internal/core/ | tee $(BUILD_DIR)/trace_bench_smoke.txt > /dev/null
 	$(GO) run ./cmd/benchjson -match 'BenchmarkStreamTraced' \
 		-derive trace_overhead=BenchmarkStreamTracedOn/BenchmarkStreamTracedOff \
-		< $(BUILD_DIR)/trace_bench_smoke.txt > BENCH_trace.json
-	rm -f $(BUILD_DIR)/trace_bench_smoke.txt
+		< $(BUILD_DIR)/trace_bench_smoke.txt > $(BUILD_DIR)/trace_bench_smoke.json
+	@grep -q trace_overhead $(BUILD_DIR)/trace_bench_smoke.json || \
+		{ echo "trace-bench-smoke: trace_overhead missing from benchjson output"; exit 1; }
+	rm -f $(BUILD_DIR)/trace_bench_smoke.txt $(BUILD_DIR)/trace_bench_smoke.json
 
 # Smoke the spatial-index graph-build harness: the equivalence and churn
 # suites, plus one iteration of the indexed/full-scan benchmark pair piped
-# through benchjson with the speedup derivation so the whole
-# BENCH_build.json pipeline is exercised per build. Real numbers come from
-# `bench`, which regenerates the artifact from full-length runs.
+# through benchjson with the speedup derivation into a scratch file whose
+# derived key is asserted, so the whole BENCH_build.json pipeline is
+# exercised per build. The committed BENCH_build.json comes from `bench`,
+# which regenerates it from full-length runs.
 build-bench-smoke:
 	@mkdir -p $(BUILD_DIR)
 	$(GO) test -run 'TestSpatial|TestPartition|TestClientChurn' \
@@ -143,8 +148,10 @@ build-bench-smoke:
 		-benchtime=1x -count=1 ./internal/core/ | tee $(BUILD_DIR)/build_bench_smoke.txt > /dev/null
 	$(GO) run ./cmd/benchjson -match '^BenchmarkGraphBuild' \
 		-derive build_speedup_2000ap=BenchmarkGraphBuildFullScan2000AP/BenchmarkGraphBuildIndexed2000AP \
-		< $(BUILD_DIR)/build_bench_smoke.txt > BENCH_build.json
-	rm -f $(BUILD_DIR)/build_bench_smoke.txt
+		< $(BUILD_DIR)/build_bench_smoke.txt > $(BUILD_DIR)/build_bench_smoke.json
+	@grep -q build_speedup_2000ap $(BUILD_DIR)/build_bench_smoke.json || \
+		{ echo "build-bench-smoke: build_speedup_2000ap missing from benchjson output"; exit 1; }
+	rm -f $(BUILD_DIR)/build_bench_smoke.txt $(BUILD_DIR)/build_bench_smoke.json
 
 # Regenerate BENCH_fleet.json from real fleet runs: the 10k-agent
 # convergence headline (minutes on one core), the fixed-profile wire pair

@@ -147,7 +147,6 @@ func serve(args []string) {
 	logLevel := fs.String("log-level", "info", "log threshold: debug|info|warn|error|off")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /healthz, /debug/vars and pprof on this address")
 	allocWorkers := fs.Int("alloc-workers", 0, "parallel rank-evaluation workers for Algorithm 2 (0 = GOMAXPROCS)")
-	assocWorkers := fs.Int("assoc-workers", 0, "parallel roaming-sweep workers for Algorithm 1 (0 = GOMAXPROCS)")
 	shardWorkers := fs.Int("shard-workers", 0, "component-sharded Algorithm 2: solve independent contention components on this many workers (0 = off)")
 	serverShards := fs.Int("server-shards", 0, "inbound accept/IO shards feeding the controller through bounded queues (0 = min(8, GOMAXPROCS))")
 	shardQueue := fs.Int("shard-queue", 0, "per-shard report queue capacity; a full queue sheds oldest-first (0 = default 4096)")
@@ -201,7 +200,6 @@ func serve(args []string) {
 	s.Alloc.ShardWorkers = *shardWorkers
 	s.Alloc.NoSpatialIndex = !*spatialIndex
 	s.Alloc.GridCellM = *gridCellM
-	s.Assoc.Workers = *assocWorkers
 	s.Shards = ctlnet.ShardConfig{N: *serverShards, QueueCap: *shardQueue}
 	s.ReportTTL = *reportTTL
 	s.HelloTimeout = *helloTimeout

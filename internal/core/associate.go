@@ -116,31 +116,3 @@ func applySticky(d AssociationDecision, incumbentID string, margin float64) Asso
 	// Incumbent no longer in range: take the new best.
 	return d
 }
-
-// RoamSweep re-evaluates the association of every given client in input
-// order with roaming hysteresis, applying each move to cfg, and returns the
-// decisions in the same order. It is equivalent to calling AssociateSticky
-// for each client in turn (each decision applied before the next client is
-// evaluated) but runs the incremental association engine with
-// opts.Workers-wide parallel beacon evaluation when the configuration is
-// representable; the fallback is the sequential reference loop. Both paths
-// produce bit-identical decisions and final configurations.
-//
-// Long-lived deployments that sweep repeatedly should prefer
-// Controller.RoamAll, which reuses one engine (and its delay memos) across
-// sweeps instead of rebuilding per call.
-func RoamSweep(n *wlan.Network, cfg *wlan.Config, clients []*wlan.Client, margin float64, opts AssocOptions) []AssociationDecision {
-	if e := newAssocEngine(n, cfg); e != nil {
-		ds, _ := e.sweep(clients, sweepSticky, margin, opts.workers())
-		return ds
-	}
-	ds := make([]AssociationDecision, 0, len(clients))
-	for _, u := range clients {
-		d := AssociateSticky(n, cfg, u, cfg.Assoc[u.ID], margin)
-		if d.APID != "" {
-			cfg.SetAssoc(u.ID, d.APID)
-		}
-		ds = append(ds, d)
-	}
-	return ds
-}

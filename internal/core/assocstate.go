@@ -72,10 +72,11 @@ type assocEngine struct {
 	cfg *wlan.Config
 
 	// aps snapshots n.APs (the engine is rebuilt if the AP set changes);
-	// apIDs/apIdx index it, chans/mask mirror cfg.Channels.
+	// apIDs/apIdx/apByID index it, chans/mask mirror cfg.Channels.
 	aps     []*wlan.AP
 	apIDs   []string
 	apIdx   map[string]int
+	apByID  map[string]*wlan.AP
 	chans   []spectrum.Channel
 	mask    bitset.Field
 	compBit map[spectrum.ChannelID]uint
@@ -133,8 +134,10 @@ type assocEngine struct {
 	memoKeys    map[int32][]assocDelayKey
 
 	// snr20/widthDelay back the estimators the engine vends for Algorithm 2
-	// (Controller.Reallocate): the measured reference SNRs and the
-	// per-(link, width) delay memo survive across reallocations.
+	// (Controller.Reallocate): the reference SNRs measured so far and the
+	// per-(link, width) delay memo survive across reallocations. snrDone
+	// maps each client ID to the incarnation those caches describe; it is
+	// the vended estimators' client snapshot.
 	snr20      map[linkKey]units.DB
 	snrDone    map[string]*wlan.Client
 	widthDelay map[widthKey]float64
@@ -211,6 +214,7 @@ func newAssocEngine(n *wlan.Network, cfg *wlan.Config) *assocEngine {
 		aps:         append([]*wlan.AP(nil), n.APs...),
 		apIDs:       make([]string, len(n.APs)),
 		apIdx:       make(map[string]int, len(n.APs)),
+		apByID:      make(map[string]*wlan.AP, len(n.APs)),
 		chans:       make([]spectrum.Channel, len(n.APs)),
 		compBit:     make(map[spectrum.ChannelID]uint, 16),
 		pop:         make([]int, len(n.APs)),
@@ -225,6 +229,7 @@ func newAssocEngine(n *wlan.Network, cfg *wlan.Config) *assocEngine {
 	for i, ap := range e.aps {
 		e.apIDs[i] = ap.ID
 		e.apIdx[ap.ID] = i
+		e.apByID[ap.ID] = ap
 	}
 	// Size the masks from every component in sight — the band (what a
 	// reallocation can assign) plus the bound configuration (which may
@@ -703,21 +708,21 @@ func (e *assocEngine) associate(u *wlan.Client) AssociationDecision {
 // vendEstimator hands Algorithm 2 an estimator backed by the engine's
 // link caches: the reference SNRs and the per-(link, width) delay memo
 // survive across reallocations instead of being re-measured each period. The
-// contention cache starts empty on purpose — it is association-dependent and
-// must be fresh per run. The vended estimator's floats are identical to a
-// NewEstimator's (same measurement expressions), so allocations are
-// unchanged bit-for-bit.
+// estimator measures a link on its first read, like any other, against the
+// engine's AP snapshot and the client incarnations recorded here; a client
+// whose object changed since the last vend has its cached links purged
+// first, so a stale incarnation's SNR is never read. The contention cache
+// starts empty on purpose — it is association-dependent and must be fresh
+// per run. The vended estimator's floats are identical to a NewEstimator's
+// (same measurement expressions), so allocations are unchanged bit-for-bit.
 func (e *assocEngine) vendEstimator() *Estimator {
 	for _, c := range e.n.Clients {
-		if old := e.snrDone[c.ID]; old == c {
-			continue
-		} else if old != nil {
-			e.purgeLinks(c.ID)
+		if old := e.snrDone[c.ID]; old != c {
+			if old != nil {
+				e.purgeLinks(c.ID)
+			}
+			e.snrDone[c.ID] = c
 		}
-		for _, ap := range e.aps {
-			e.snr20[linkKey{ap.ID, c.ID}] = e.n.ClientSNR20(ap, c)
-		}
-		e.snrDone[c.ID] = c
 	}
-	return &Estimator{n: e.n, snr20: e.snr20, delayMemo: e.widthDelay}
+	return &Estimator{n: e.n, aps: e.apByID, clients: e.snrDone, snr20: e.snr20, delayMemo: e.widthDelay}
 }

@@ -111,7 +111,7 @@ func (c *Controller) engineFor() *assocEngine {
 // publication into the registry.
 func (c *Controller) publishEngineStats() {
 	e := c.engine
-	if e == nil {
+	if e == nil || e.stats == c.enginePub {
 		return
 	}
 	reg := c.registry()

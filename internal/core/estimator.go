@@ -27,9 +27,23 @@ import (
 // assignments from measured 20 MHz link SNRs. It is deliberately ignorant
 // of per-channel jitter — the real network applies jitter; the estimator
 // assumes channels of equal width are interchangeable.
+//
+// Links are measured on demand: the estimator records the network's APs and
+// clients by ID when it is built and measures an AP→client link the first
+// time a read needs it, so its cost follows the links Algorithm 2 reads (one
+// per associated client) rather than APs × clients. An Estimator is
+// single-goroutine: its link, contention and delay caches fill lazily on
+// reads.
 type Estimator struct {
 	n *wlan.Network
-	// snr20 caches the measured reference SNR of every AP→client link.
+	// aps and clients are the measurement snapshot: the network's APs and
+	// clients by ID as they stood when the estimator was built (a
+	// duplicated ID resolves to the last one in slice order). A link whose
+	// AP or client is missing reads as unmeasurable (−Inf).
+	aps     map[string]*wlan.AP
+	clients map[string]*wlan.Client
+	// snr20 caches the measured reference SNR of every AP→client link read
+	// so far.
 	snr20 map[linkKey]units.DB
 	// MeasurementNoiseDB, when non-zero, perturbs each cached measurement
 	// deterministically to model imperfect driver SNR reports.
@@ -58,14 +72,22 @@ type widthKey struct {
 	w          spectrum.Width
 }
 
-// NewEstimator builds an estimator over the network, measuring (caching)
-// the 20 MHz reference SNR of every AP→client pair.
+// NewEstimator builds an estimator over the network. It records the APs and
+// clients by ID and measures nothing yet: each link's 20 MHz reference SNR
+// is measured (and cached) on its first read, so construction is
+// O(APs + clients).
 func NewEstimator(n *wlan.Network) *Estimator {
-	e := &Estimator{n: n, snr20: make(map[linkKey]units.DB, len(n.APs)*len(n.Clients))}
+	e := &Estimator{
+		n:       n,
+		aps:     make(map[string]*wlan.AP, len(n.APs)),
+		clients: make(map[string]*wlan.Client, len(n.Clients)),
+		snr20:   make(map[linkKey]units.DB),
+	}
 	for _, ap := range n.APs {
-		for _, c := range n.Clients {
-			e.snr20[linkKey{ap.ID, c.ID}] = n.ClientSNR20(ap, c)
-		}
+		e.aps[ap.ID] = ap
+	}
+	for _, c := range n.Clients {
+		e.clients[c.ID] = c
 	}
 	return e
 }
@@ -74,7 +96,7 @@ func NewEstimator(n *wlan.Network) *Estimator {
 // of the given width: the measured 20 MHz reference, recalibrated by the
 // bonding penalty when the target is 40 MHz.
 func (e *Estimator) LinkSNR(apID, clientID string, w spectrum.Width) units.DB {
-	snr, ok := e.snr20[linkKey{apID, clientID}]
+	snr, ok := e.measured(apID, clientID)
 	if !ok {
 		return units.DB(math.Inf(-1))
 	}
@@ -82,6 +104,23 @@ func (e *Estimator) LinkSNR(apID, clientID string, w spectrum.Width) units.DB {
 		snr += units.DB(e.MeasurementNoiseDB * noiseUnit(apID, clientID))
 	}
 	return snrForWidth(snr, w)
+}
+
+// measured returns the link's 20 MHz reference SNR, measuring and caching it
+// on the first read. ok is false when the AP or the client was not in the
+// network when the estimator was built.
+func (e *Estimator) measured(apID, clientID string) (units.DB, bool) {
+	k := linkKey{apID, clientID}
+	if snr, ok := e.snr20[k]; ok {
+		return snr, true
+	}
+	ap, c := e.aps[apID], e.clients[clientID]
+	if ap == nil || c == nil {
+		return 0, false
+	}
+	snr := e.n.ClientSNR20(ap, c)
+	e.snr20[k] = snr
+	return snr, true
 }
 
 // noiseUnit returns a deterministic pseudo-random value in (-1, 1) per link.

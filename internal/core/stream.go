@@ -486,6 +486,10 @@ func (s *StreamController) Pump() int {
 		s.m.applied.Add(uint64(n))
 	}
 	s.m.flapping.Set(float64(s.gate.Stats().FlappingAPs))
+	// The engine's counters (memo hits, fast beacons, partition updates)
+	// move on every admission and roam; publish them per batch, not only
+	// on the engine rebuilds and sweeps a stream rarely runs.
+	s.ctrl.publishEngineStats()
 	return len(batch)
 }
 

@@ -478,3 +478,46 @@ func TestStreamBackgroundConsumer(t *testing.T) {
 		t.Fatalf("want 16 associations, got %d", got)
 	}
 }
+
+// TestStreamPumpPublishesEngineCounters pins that a running stream moves
+// the association engine's counters: every Pump publishes them, so memo
+// hits, fast beacons and partition updates advance with the events rather
+// than waiting for an engine rebuild or a sweep.
+func TestStreamPumpPublishesEngineCounters(t *testing.T) {
+	ctrl, n := streamFixture(t, 9, 5)
+	vc := newVclock()
+	s := NewStreamController(ctrl, StreamOptions{Now: vc.now, Gate: GateOptions{Streak: 1}})
+	reg := ctrl.registry()
+	counter := func(name string) uint64 { return reg.Counter(name, "").Value() }
+
+	clients := make([]*wlan.Client, 12)
+	for i := range clients {
+		clients[i] = clientNear(n, i, fmt.Sprintf("u%02d", i))
+		s.Offer(Event{Kind: EventArrive, Client: clients[i]})
+	}
+	s.Pump()
+	beacons := counter("acorn_core_assoc_fast_beacons_total")
+	misses := counter("acorn_core_assoc_delay_memo_misses_total")
+	updates := counter("acorn_core_partition_updates_total")
+	if beacons == 0 || misses == 0 || updates == 0 {
+		t.Fatalf("after arrivals: fast beacons %d, memo misses %d, partition updates %d; want all > 0",
+			beacons, misses, updates)
+	}
+
+	// Unchanged reports re-run Algorithm 1 over memoized delays.
+	hits := counter("acorn_core_assoc_delay_memo_hits_total")
+	vc.advance(time.Second)
+	for _, u := range clients {
+		s.Offer(Event{Kind: EventReport, Client: u})
+	}
+	s.Pump()
+	if got := counter("acorn_core_assoc_delay_memo_hits_total"); got <= hits {
+		t.Fatalf("memo hits %d after reports, %d before; want an advance", got, hits)
+	}
+	if got := counter("acorn_core_assoc_fast_beacons_total"); got <= beacons {
+		t.Fatalf("fast beacons %d after reports, %d before; want an advance", got, beacons)
+	}
+	if builds := counter("acorn_core_assoc_engine_builds_total"); builds != 1 {
+		t.Fatalf("engine builds = %d, want 1: the counters must move without a rebuild", builds)
+	}
+}

@@ -573,22 +573,16 @@ func TestReallocateSerializesWithStreamPasses(t *testing.T) {
 	}
 }
 
-// benchmarkStreamPassScoped measures one flip plus one scoped stream pass
-// on an n-AP fleet of 4-AP cliques: an AP's clients move between 40 and
-// 20 MHz territory, and the pass re-solves its clique. The state is built
-// directly, without sessions, so an op is the controller's own work; it
-// should not grow with n.
-func benchmarkStreamPassScoped(b *testing.B, n int) {
-	s := NewServer(1)
-	s.Obs = obs.NewRegistry()
-	s.Stream = StreamConfig{Enabled: true, Gate: core.GateOptions{Margin: -1, Streak: 1}}
+// cliqueFleet gives a server n APs in 4-AP hear-cliques, each reporting two
+// clients at 30 and 28 dB, with the state built directly (no sessions). It
+// returns the AP IDs and the applied reports.
+func cliqueFleet(s *Server, n int) ([]string, []Report) {
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("ap-%05d", i)
 	}
 	sayHello(s, ids...)
-	base := make([]Report, n)
-	low := make([]Report, n)
+	reps := make([]Report, n)
 	batch := make([]reportEvent, n)
 	now := time.Now()
 	for i, id := range ids {
@@ -598,13 +592,30 @@ func benchmarkStreamPassScoped(b *testing.B, n int) {
 				hears = append(hears, ids[p])
 			}
 		}
-		base[i] = report(hears, 30, 28)
-		low[i] = report(hears, 0.5, 0.2)
-		base[i].APID, low[i].APID = id, id
-		batch[i] = reportEvent{apID: id, rep: base[i], recv: now}
+		reps[i] = report(hears, 30, 28)
+		reps[i].APID = id
+		batch[i] = reportEvent{apID: id, rep: reps[i], recv: now}
 		batch[i].rep.Seq = 1
 	}
 	s.applyReports(batch)
+	return ids, reps
+}
+
+// benchmarkStreamPassScoped measures one flip plus one scoped stream pass
+// on an n-AP fleet of 4-AP cliques: an AP's clients move between 40 and
+// 20 MHz territory, and the pass re-solves its clique. The state is built
+// directly, without sessions, so an op is the controller's own work; it
+// should not grow with n.
+func benchmarkStreamPassScoped(b *testing.B, n int) {
+	s := NewServer(1)
+	s.Obs = obs.NewRegistry()
+	s.Stream = StreamConfig{Enabled: true, Gate: core.GateOptions{Margin: -1, Streak: 1}}
+	ids, base := cliqueFleet(s, n)
+	low := make([]Report, n)
+	for i := range base {
+		low[i] = report(base[i].Hears, 0.5, 0.2)
+		low[i].APID = ids[i]
+	}
 	s.takeDirty()
 	for lo := 0; lo < n; lo += 4 {
 		only := map[string]bool{}
@@ -635,3 +646,24 @@ func benchmarkStreamPassScoped(b *testing.B, n int) {
 
 func BenchmarkStreamPassScoped1k(b *testing.B)  { benchmarkStreamPassScoped(b, 1000) }
 func BenchmarkStreamPassScoped10k(b *testing.B) { benchmarkStreamPassScoped(b, 10000) }
+
+// benchmarkServerColdFullPass measures one full Reallocate on a fresh
+// server holding an n-AP fleet of 4-AP cliques with two clients per AP:
+// the cold pass a fleet boot or a watchdog runs. Building the server state
+// is outside the timer, so ns/op and B/op are the pass's own.
+func benchmarkServerColdFullPass(b *testing.B, n int) {
+	b.ReportAllocs()
+	for k := 0; k < b.N; k++ {
+		b.StopTimer()
+		s := NewServer(1)
+		s.Obs = obs.NewRegistry()
+		cliqueFleet(s, n)
+		b.StartTimer()
+		if _, err := s.Reallocate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkServerColdFullPass1k(b *testing.B) { benchmarkServerColdFullPass(b, 1000) }
+func BenchmarkServerColdFullPass2k(b *testing.B) { benchmarkServerColdFullPass(b, 2000) }

@@ -42,9 +42,6 @@ type Server struct {
 	// Alloc tunes Algorithm 2 (worker count, period/switch bounds) for
 	// every Reallocate. The zero value keeps the defaults.
 	Alloc core.AllocOptions
-	// Assoc tunes the Algorithm 1 roaming sweep run over the measurement
-	// view before each allocation. The zero value keeps the defaults.
-	Assoc core.AssocOptions
 	// Log, when non-nil, receives leveled diagnostic lines (connects and
 	// disconnects at info, protocol trouble and quarantines at warn).
 	Log *obs.Logger
@@ -679,16 +676,16 @@ func seedChannel(seed int64, apID string, channels []spectrum.Channel) spectrum.
 // reallocate is the shared engine behind the periodic full pass (only nil)
 // and the streaming neighbourhood pass (only = dirty APs plus their
 // hear-graph neighbours; every other AP holds its channel). A restricted
-// pass copies, builds, sweeps, prices and pushes only its scope (see
-// snapshot), so its cost follows the size of the change, not the fleet.
+// pass copies, builds, prices and pushes only its scope (see snapshot), so
+// its cost follows the size of the change, not the fleet.
 // In stream mode each proposed switch is replayed through the switch gate;
 // vetoed switches keep the AP's previous assignment.
 //
 // pspan is the caller's pass span (a dead ref when tracing is off): the
-// stage boundaries crossed here — view build, association sweep, channel
-// search, gating, pushes — are marked into it, and the search's rank-
-// evaluation time is attributed. The caller Ends the span; an errored pass
-// leaves it unfinished, which the tracer never exports.
+// stage boundaries crossed here — view build, channel search, gating,
+// pushes — are marked into it, and the search's rank-evaluation time is
+// attributed. The caller Ends the span; an errored pass leaves it
+// unfinished, which the tracer never exports.
 func (s *Server) reallocate(only map[string]bool, bypassStreak bool, pspan obs.SpanRef) (map[string]spectrum.Channel, error) {
 	s.passMu.Lock()
 	defer s.passMu.Unlock()
@@ -727,26 +724,9 @@ func (s *Server) reallocate(only map[string]bool, bypassStreak bool, pspan obs.S
 		}
 	}
 	pspan.Mark(PassStageView)
-	// Re-run Algorithm 1 over the view before allocating, so the channel
-	// search prices the associations the view's geometry actually supports.
-	// Today's views anchor every client next to its reporting AP, so this
-	// is a consistency pass (zero moves); richer views — shared clients,
-	// triangulated positions — make it load-bearing. Sorted client order
-	// keeps the sweep deterministic.
-	viewClients := append([]*wlan.Client(nil), n.Clients...)
-	sort.Slice(viewClients, func(i, j int) bool { return viewClients[i].ID < viewClients[j].ID })
-	reported := make(map[string]string, len(cfg.Assoc))
-	for id, apID := range cfg.Assoc {
-		reported[id] = apID
-	}
-	moves := 0
-	for _, d := range core.RoamSweep(n, cfg, viewClients, 0.05, s.Assoc) {
-		if d.APID != "" && d.APID != reported[d.ClientID] {
-			moves++
-		}
-	}
-	m.reg.Counter("acorn_ctlnet_view_roam_moves_total",
-		"clients the pre-allocation roaming sweep moved away from their reported AP").Add(uint64(moves))
+	// A report lists only its AP's own clients, so the view holds no
+	// measurement that could move a client: every client stays with the
+	// AP that reported it, and there is no association stage to run.
 	pspan.Mark(PassStageAssoc)
 	est := core.NewEstimator(n)
 	opts := s.Alloc

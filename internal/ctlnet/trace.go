@@ -4,8 +4,8 @@ package ctlnet
 // reallocation pass — from the earliest report receipt that triggered it
 // (stream mode) or the call itself (full pass) to the last assignment
 // push — so a finished span attributes the whole receive-to-push path:
-// queue/debounce wait, measurement-view build, the association sweep, the
-// channel search, gating, and the network pushes.
+// queue/debounce wait, measurement-view build, the channel search, gating,
+// and the network pushes.
 
 import (
 	"time"
@@ -21,7 +21,11 @@ const (
 	// PassStageView: report snapshot, TTL quarantine, and the
 	// measurement-view build (buildView + search seeding).
 	PassStageView
-	// PassStageAssoc: the pre-allocation Algorithm 1 roaming sweep.
+	// PassStageAssoc: empty. It is marked right after PassStageView and
+	// reads about zero: a report lists only its AP's own clients, so a
+	// networked pass has no association stage. The stage keeps its slot
+	// so the stage catalog (and the tools that read "assoc" from it)
+	// stays stable.
 	PassStageAssoc
 	// PassStageAlloc: the Algorithm 2 channel search.
 	PassStageAlloc

@@ -338,14 +338,18 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 			}(fa, o.Seed+int64(fa.idx)*7919)
 		}
 	}
-	// Churn: kill ChurnFrac of the fleet, spread over the phase.
+	// Churn: kill ChurnFrac of the fleet, spread over the phase. Kill k is
+	// scheduled at an absolute offset, (k+1)·Duration/(n+1) into the phase,
+	// and waits on the outer ctx, so timer overshoot delays a kill instead
+	// of dropping it when the phase ends; wg.Wait waits for the last one.
 	if o.ChurnFrac > 0 {
 		kills := rng.Perm(o.Agents)[:int(float64(o.Agents)*o.ChurnFrac)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, idx := range kills {
-				if sleepCtx(sctx, o.Duration/time.Duration(len(kills)+1)) != nil {
+			for k, idx := range kills {
+				at := steadyStart.Add(time.Duration(k+1) * o.Duration / time.Duration(len(kills)+1))
+				if sleepCtx(ctx, time.Until(at)) != nil {
 					return
 				}
 				if agents[idx].kill() {

@@ -7,7 +7,9 @@ package ratecontrol
 
 import (
 	"math"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"acorn/internal/mac"
 	"acorn/internal/phy"
@@ -91,13 +93,17 @@ const ShortGIPenalty units.DB = 0.5
 // goodput maximizer.
 func BestGI(snr units.DB, w spectrum.Width, packetBytes int) Selection {
 	best := Best(snr, w, packetBytes)
-	for _, m := range phy.MCSTable() {
+	for _, m := range mcsTable {
 		if s := EvaluateGI(m, snr, w, packetBytes, true); s.GoodputMbps > best.GoodputMbps {
 			best = s
 		}
 	}
 	return best
 }
+
+// mcsTable is phy.MCSTable(), built once: the table is fixed and building
+// it allocates.
+var mcsTable = phy.MCSTable()
 
 // bestCache memoizes Best: the function is pure and the allocation search
 // evaluates the same links thousands of times. The key carries the exact
@@ -108,12 +114,45 @@ func BestGI(snr units.DB, w spectrum.Width, packetBytes int) Selection {
 // for everyone), which breaks any bit-exactness contract between two code
 // paths pricing the same links. Exact keying makes the memo invisible:
 // cached and uncached calls return identical bits in any call order.
-var bestCache sync.Map // bestKey → Selection
+//
+// The memo is process-wide, so it is bounded: once it holds bestCacheCap
+// entries it is dropped whole and refilled. Dropping an exact memo changes
+// no value, only what the next calls cost.
+var bestCache atomic.Pointer[bestMemo]
+
+// bestCacheCap bounds the Best memo. A fleet's working set of distinct
+// (SNR, width, size) keys is far smaller; a campus run that measures every
+// link at fresh SNRs would otherwise grow the memo without limit.
+const bestCacheCap = 1 << 16
+
+type bestMemo struct {
+	m sync.Map     // bestKey → Selection
+	n atomic.Int64 // entries stored in m
+}
+
+func init() { bestCache.Store(new(bestMemo)) }
 
 type bestKey struct {
 	snrBits     uint64
 	width       spectrum.Width
 	packetBytes int
+}
+
+// remember stores one Best result, dropping the whole memo first when it is
+// full. Concurrent callers may overshoot the cap by at most one entry each
+// before the next drop.
+func remember(key bestKey, sel Selection) {
+	memo := bestCache.Load()
+	if memo.n.Load() >= bestCacheCap {
+		fresh := new(bestMemo)
+		if !bestCache.CompareAndSwap(memo, fresh) {
+			fresh = bestCache.Load()
+		}
+		memo = fresh
+	}
+	if _, loaded := memo.m.LoadOrStore(key, sel); !loaded {
+		memo.n.Add(1)
+	}
 }
 
 // Best returns the MCS/mode pair maximizing expected goodput for a link
@@ -123,23 +162,72 @@ type bestKey struct {
 // STBC) based on the channel quality" (Section 3.2).
 func Best(snr units.DB, w spectrum.Width, packetBytes int) Selection {
 	key := bestKey{snrBits: math.Float64bits(float64(snr)), width: w, packetBytes: packetBytes}
-	if v, ok := bestCache.Load(key); ok {
+	if v, ok := bestCache.Load().m.Load(key); ok {
 		return v.(Selection)
 	}
+	best := bestSearch(snr, w, packetBytes)
+	remember(key, best)
+	return best
+}
+
+// bestSearch is Best without the memo: the goodput-maximizing MCS, the
+// lowest table index among equals, or the most robust MCS when nothing
+// decodes. It visits the MCSs in descending order of their error-free
+// goodput and stops once that bound cannot beat the best found, which is
+// exact: in float arithmetic mac.ExpectedAttempts(per) ≥ 1 and
+// mac.DeliveryProbability(per) ≤ 1, so no MCS's goodput exceeds its bound.
+func bestSearch(snr units.DB, w spectrum.Width, packetBytes int) Selection {
 	var best Selection
-	for _, m := range phy.MCSTable() {
-		s := Evaluate(m, snr, w, packetBytes)
-		if s.GoodputMbps > best.GoodputMbps {
-			best = s
+	bestIdx := -1
+	for _, c := range rankFor(w, packetBytes) {
+		i := c.idx
+		if c.bound < best.GoodputMbps {
+			break // every remaining bound is no higher
+		}
+		if c.bound == best.GoodputMbps && i > bestIdx {
+			continue // at best a tie, which the lower index keeps
+		}
+		s := Evaluate(mcsTable[i], snr, w, packetBytes)
+		if s.GoodputMbps > best.GoodputMbps || (s.GoodputMbps == best.GoodputMbps && i < bestIdx) {
+			best, bestIdx = s, i
 		}
 	}
 	if best.GoodputMbps == 0 {
 		// Nothing decodes: report the most robust MCS so callers see a
 		// concrete (failing) selection rather than a zero value.
-		best = Evaluate(phy.MCSTable()[0], snr, w, packetBytes)
+		best = Evaluate(mcsTable[0], snr, w, packetBytes)
 	}
-	bestCache.Store(key, best)
 	return best
+}
+
+// mcsBound is an MCS table index with its error-free goodput,
+// 1/mac.ClientDelay(size, rate, 0): the most the MCS can deliver.
+type mcsBound struct {
+	idx   int
+	bound float64
+}
+
+type rankKey struct {
+	width       spectrum.Width
+	packetBytes int
+}
+
+var rankCache sync.Map // rankKey → []mcsBound
+
+// rankFor returns the MCS table for one (width, packet size) ordered by
+// goodput bound, highest first, ties in table order.
+func rankFor(w spectrum.Width, packetBytes int) []mcsBound {
+	key := rankKey{w, packetBytes}
+	if v, ok := rankCache.Load(key); ok {
+		return v.([]mcsBound)
+	}
+	r := make([]mcsBound, len(mcsTable))
+	for i, m := range mcsTable {
+		r[i] = mcsBound{idx: i, bound: 1 / mac.ClientDelay(packetBytes, phy.NominalRateMbps(m, w, false), 0)}
+	}
+	sort.SliceStable(r, func(a, b int) bool { return r[a].bound > r[b].bound })
+	v, _ := rankCache.LoadOrStore(key, r)
+	return v.([]mcsBound)
 }
 
 // OptimalFixedMCS performs the exhaustive search of Fig 6(b): for the given

@@ -1,6 +1,8 @@
 package ratecontrol
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"acorn/internal/phy"
@@ -161,5 +163,108 @@ func TestShortGI(t *testing.T) {
 	shortR := EvaluateGI(m, 35, spectrum.Width40, 1500, true).RateMbps
 	if ratio := shortR / longR; ratio < 1.10 || ratio > 1.12 {
 		t.Errorf("short-GI rate ratio = %v, want ≈1.11", ratio)
+	}
+}
+
+// bestExhaustive is the unpruned search Best ran before the goodput-bound
+// pruning: evaluate every MCS in table order, keep the first strict
+// maximum, fall back to MCS 0 when nothing decodes.
+func bestExhaustive(snr units.DB, w spectrum.Width, packetBytes int) Selection {
+	var best Selection
+	for _, m := range phy.MCSTable() {
+		s := Evaluate(m, snr, w, packetBytes)
+		if s.GoodputMbps > best.GoodputMbps {
+			best = s
+		}
+	}
+	if best.GoodputMbps == 0 {
+		best = Evaluate(phy.MCSTable()[0], snr, w, packetBytes)
+	}
+	return best
+}
+
+// TestBestSearchMatchesExhaustive pins the pruned search to the exhaustive
+// one, whole Selection compared, across both widths, three packet sizes and
+// an SNR sweep whose irregular step lands on many points between the MCS
+// crossovers, plus the non-finite SNRs.
+func TestBestSearchMatchesExhaustive(t *testing.T) {
+	snrs := []float64{math.Inf(-1), math.Inf(1), math.NaN()}
+	step := 0.0251
+	if testing.Short() {
+		step = 0.251
+	}
+	for snr, k := -20.0, 0; snr <= 60; k++ {
+		snrs = append(snrs, snr)
+		snr += step * (1 + 0.37*float64(k%5))
+	}
+	for i := -20; i <= 60; i++ {
+		snrs = append(snrs, float64(i))
+	}
+	points := 0
+	for _, w := range []spectrum.Width{spectrum.Width20, spectrum.Width40} {
+		for _, size := range []int{100, 1000, 1500} {
+			for _, snr := range snrs {
+				got, want := bestSearch(units.DB(snr), w, size), bestExhaustive(units.DB(snr), w, size)
+				if !sameSelection(got, want) {
+					t.Fatalf("snr %v, width %v, %d B: pruned %+v, exhaustive %+v", snr, w, size, got, want)
+				}
+				points++
+			}
+		}
+	}
+	t.Logf("%d points identical", points)
+}
+
+// sameSelection is == on Selection, except that NaN equals NaN.
+func sameSelection(a, b Selection) bool {
+	if math.IsNaN(a.PER) && math.IsNaN(b.PER) {
+		a.PER, b.PER = 0, 0
+	}
+	return a == b
+}
+
+// TestBestMemoStaysBounded fills the Best memo past its cap and checks that
+// it never holds more than bestCacheCap entries and that a dropped entry
+// recomputes to the same Selection. It then crosses the cap again from
+// several goroutines at once, which must return the same selections as the
+// unmemoized search (run it under -race).
+func TestBestMemoStaysBounded(t *testing.T) {
+	first := Best(60, spectrum.Width20, 1500)
+	// High SNRs: the pruned search evaluates one or two MCSs per miss.
+	key := func(k int) units.DB { return units.DB(61 + float64(k)*1e-6) }
+	for k := 0; k <= bestCacheCap+100; k++ {
+		Best(key(k), spectrum.Width20, 1500)
+		if n := bestCache.Load().n.Load(); n > bestCacheCap {
+			t.Fatalf("memo holds %d entries after %d inserts, cap %d", n, k+1, bestCacheCap)
+		}
+	}
+	if n := bestCache.Load().n.Load(); n > 200 {
+		t.Fatalf("memo holds %d entries; it should have been dropped at the cap", n)
+	}
+	if again := Best(60, spectrum.Width20, 1500); again != first {
+		t.Fatalf("recomputed selection %+v differs from the memoized %+v", again, first)
+	}
+
+	for k := 0; bestCache.Load().n.Load() < bestCacheCap-400; k++ {
+		Best(key(-1-k), spectrum.Width20, 1500)
+	}
+	const workers, perWorker = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < perWorker; k++ {
+				snr := units.DB(70 + float64(w*perWorker+k)*1e-6)
+				if got, want := Best(snr, spectrum.Width20, 1500), bestSearch(snr, spectrum.Width20, 1500); got != want {
+					t.Errorf("concurrent Best(%v) = %+v, want %+v", snr, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := bestCache.Load().n.Load(); n > bestCacheCap {
+		t.Fatalf("memo holds %d entries after concurrent inserts, cap %d", n, bestCacheCap)
 	}
 }
