@@ -1,6 +1,7 @@
 # ACORN reproduction — build/test/bench entry points.
 
 GO ?= go
+GOFMT ?= gofmt
 
 # Scratch directory for bench output and pinned tools (gitignored).
 BUILD_DIR ?= build
@@ -10,12 +11,18 @@ BUILD_DIR ?= build
 # build, or a fresh module fetch, in that order.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build vet staticcheck test race bench bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench fleet-bench-smoke stream-chaos obs-smoke cover experiments clean
+.PHONY: all fmt build vet staticcheck test race bench bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench fleet-bench-smoke stream-chaos obs-smoke cover experiments clean
 
 # The default check path race-checks everything: the control plane is
 # deliberately concurrent (heartbeats, reconnect supervisors, chaos tests),
 # so plain `make` must catch data races, not just failures.
-all: build vet staticcheck test race bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench-smoke stream-chaos obs-smoke
+all: fmt build vet staticcheck test race bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench-smoke stream-chaos obs-smoke
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite any
+# of the module's Go sources.
+fmt:
+	@out=$$($(GOFMT) -l cmd internal examples *.go); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -192,10 +199,12 @@ fleet-bench-smoke:
 # Chaos suite, short mode, under the race detector: connection resets,
 # latency/jitter, short writes and report storms against the streaming
 # server, asserting convergence and the per-AP switch-rate bound, plus the
-# scoped-pass isolation, unchanged-report and pass-serialization checks.
+# scoped-pass isolation, unchanged-report and pass-serialization checks and
+# the consumer's batching (latest-wins while a pass is busy, a failed pass
+# ending the drain).
 stream-chaos:
 	$(GO) test -race -short -count=1 \
-		-run 'TestStreamChaosStorm|TestChaosConvergence|TestReconnectReplayStaysQuarantined|TestScopedPassIsolation|TestUnchangedReportsDoNotMark|TestUnchangedResendCommitsPendingSwitch|TestReallocateSerializesWithStreamPasses' \
+		-run 'TestStreamChaosStorm|TestChaosConvergence|TestReconnectReplayStaysQuarantined|TestScopedPassIsolation|TestUnchangedReportsDoNotMark|TestUnchangedResendCommitsPendingSwitch|TestReallocateSerializesWithStreamPasses|TestStreamPassBatchesWhileBusy|TestFailedStreamPassEndsDrain' \
 		./internal/ctlnet/ > /dev/null
 
 # Boots acornd with -obs-addr and asserts /metrics and /healthz serve the

@@ -3,7 +3,7 @@
 //	acornctl serve -addr :7431 [-period 30m] [-report-ttl 3h]
 //	              [-hello-timeout 10s] [-peer-timeout 90s]
 //	              [-server-shards 0] [-shard-queue 4096]
-//	              [-stream] [-stream-debounce 25ms] [-stream-watchdog 0]
+//	              [-stream] [-stream-watchdog 0]
 //	              [-switch-margin 0.02] [-switch-streak 2]
 //	              [-switch-rate 12] [-switch-burst 3]
 //	    Run the central controller: accept agent connections and
@@ -13,13 +13,14 @@
 //	    report is stale the reallocation is skipped.
 //
 //	    With -stream the controller is event-driven instead of periodic:
-//	    every fresh report marks its AP dirty, bursts are debounced and
-//	    coalesced, and a reallocation restricted to the dirty APs' hear-
-//	    graph neighbourhood runs immediately — with every proposed channel
-//	    switch gated by goodput hysteresis (-switch-margin sustained over
-//	    -switch-streak consecutive evaluations) and a per-AP token bucket
-//	    (-switch-rate switches/hour, burst -switch-burst), so the network
-//	    never flaps no matter how noisy the reports. A watchdog forces a
+//	    every fresh report marks its AP dirty, and a reallocation
+//	    restricted to the dirty APs' hear-graph neighbourhood runs at once.
+//	    Reports that land while a pass runs coalesce per AP into the next
+//	    pass. Every proposed channel switch is gated by goodput hysteresis
+//	    (-switch-margin sustained over -switch-streak consecutive
+//	    evaluations) and a per-AP token bucket (-switch-rate switches/hour,
+//	    burst -switch-burst), so the network never flaps no matter how
+//	    noisy the reports. A watchdog forces a
 //	    full pass when the last one is older than -stream-watchdog
 //	    (default: -period), so vetoed or failed work is never stranded.
 //
@@ -152,8 +153,7 @@ func serve(args []string) {
 	shardQueue := fs.Int("shard-queue", 0, "per-shard report queue capacity; a full queue sheds oldest-first (0 = default 4096)")
 	spatialIndex := fs.Bool("spatial-index", true, "prune the contention-graph pair scan with the uniform-grid spatial index (exact — the graph is bit-identical; false forces the full O(P²) scan)")
 	gridCellM := fs.Float64("grid-cell-m", 0, "spatial-index grid cell size in meters (0 = the carrier-sense cutoff radius)")
-	stream := fs.Bool("stream", false, "event-driven mode: on every report that changes an AP's measurements, reallocate the hear-graph components of its neighbourhood instead of waiting for -period")
-	streamDebounce := fs.Duration("stream-debounce", ctlnet.DefaultStreamDebounce, "wake-to-drain delay coalescing report bursts (with -stream; negative disables)")
+	stream := fs.Bool("stream", false, "event-driven mode: on every report that changes an AP's measurements, reallocate the hear-graph components of its neighbourhood at once instead of waiting for -period (reports arriving during a pass batch into the next)")
 	streamWatchdog := fs.Duration("stream-watchdog", 0, "max age of the last full pass before the stream forces one (with -stream; 0 = -period, negative disables)")
 	switchMargin := fs.Float64("switch-margin", core.DefaultGateMargin, "hysteresis: minimum relative goodput gain a channel switch must offer (with -stream; negative disables)")
 	switchStreak := fs.Int("switch-streak", core.DefaultGateStreak, "hysteresis: consecutive evaluations that must propose the same switch before it commits (with -stream)")
@@ -211,7 +211,6 @@ func serve(args []string) {
 		}
 		s.Stream = ctlnet.StreamConfig{
 			Enabled:        true,
-			Debounce:       *streamDebounce,
 			WatchdogPeriod: wd,
 			Gate: core.GateOptions{
 				Margin:      *switchMargin,

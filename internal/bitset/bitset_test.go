@@ -22,11 +22,11 @@ func (r *refSet) trunc() {
 	r.n.And(r.n, mask)
 }
 
-func (r *refSet) setBit(i uint)      { r.n.SetBit(r.n, int(i), 1) }
-func (r *refSet) test(i uint) bool   { return r.n.Bit(int(i)) == 1 }
-func (r *refSet) and(o *refSet)      { r.n.And(r.n, o.n); r.trunc() }
-func (r *refSet) andNot(o *refSet)   { r.n.AndNot(r.n, o.n); r.trunc() }
-func (r *refSet) or(o *refSet)       { r.n.Or(r.n, o.n); r.trunc() }
+func (r *refSet) setBit(i uint)    { r.n.SetBit(r.n, int(i), 1) }
+func (r *refSet) test(i uint) bool { return r.n.Bit(int(i)) == 1 }
+func (r *refSet) and(o *refSet)    { r.n.And(r.n, o.n); r.trunc() }
+func (r *refSet) andNot(o *refSet) { r.n.AndNot(r.n, o.n); r.trunc() }
+func (r *refSet) or(o *refSet)     { r.n.Or(r.n, o.n); r.trunc() }
 func (r *refSet) equal(o *refSet) bool {
 	return r.n.Cmp(o.n) == 0
 }

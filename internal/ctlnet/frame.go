@@ -98,8 +98,10 @@ func (e *frameEncoder) finish() ([]byte, error) {
 	return e.buf, nil
 }
 
-func (e *frameEncoder) uint(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *frameEncoder) f64(v float64)  { e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v)) }
+func (e *frameEncoder) uint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *frameEncoder) f64(v float64) {
+	e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v))
+}
 func (e *frameEncoder) str(s string) {
 	e.uint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
@@ -245,12 +247,16 @@ func (d *frameDecoder) count() (int, error) {
 	return int(v), nil
 }
 
+// f64 reads a float, rejecting NaN and ±Inf as v1 JSON cannot carry them.
 func (d *frameDecoder) f64() (float64, error) {
 	if d.off+8 > len(d.payload) {
 		return 0, protoErrf("truncated float in frame")
 	}
 	v := math.Float64frombits(binary.BigEndian.Uint64(d.payload[d.off:]))
 	d.off += 8
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, protoErrf("non-finite float %v in frame", v)
+	}
 	return v, nil
 }
 

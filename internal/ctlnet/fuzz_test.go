@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 )
 
@@ -37,11 +38,11 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add(seed(&Envelope{Type: TypeAssign, Assign: &Assign{APID: "ap-1", WidthMHz: 40, Primary: 36, Secondary: 40}}))
 	f.Add(seed(&Envelope{Type: TypePing, Ping: &Heartbeat{Seq: 9}}))
 	f.Add(seed(&Envelope{Type: TypeFrame, Frame: &FrameInfo{V: FrameV2}}))
-	f.Add([]byte(`{"type":"hello"}` + "\n"))            // type without body
-	f.Add([]byte(`{"type":"warp"}` + "\n"))             // unknown type
-	f.Add([]byte(`{"type":` + "\n"))                    // broken JSON
-	f.Add([]byte("\n"))                                 // empty line
-	f.Add(bytes.Repeat([]byte("a"), 4096))              // no newline at all
+	f.Add([]byte(`{"type":"hello"}` + "\n"))                  // type without body
+	f.Add([]byte(`{"type":"warp"}` + "\n"))                   // unknown type
+	f.Add([]byte(`{"type":` + "\n"))                          // broken JSON
+	f.Add([]byte("\n"))                                       // empty line
+	f.Add(bytes.Repeat([]byte("a"), 4096))                    // no newline at all
 	f.Add([]byte(`{"type":"pong","pong":{"seq":-1}}` + "\n")) // type confusion
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -98,6 +99,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	// A JSON line then a frame on the same stream.
 	mixed := []byte(`{"type":"ping","ping":{"seq":4}}` + "\n")
 	f.Add(append(mixed, full...))
+	// Non-finite values: a NaN or ±Inf SNR or power must not decode.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(frame(func(e *frameEncoder) {
+			e.Report(&Report{APID: "ap-1", Seq: 9,
+				Clients: []ClientObs{{ClientID: "c0", SNR20dB: 30}, {ClientID: "c1", SNR20dB: v}}})
+		}))
+		f.Add(frame(func(e *frameEncoder) { e.Hello(&Hello{APID: "ap-1", TxPowerDBm: v, Frame: FrameV2}) }))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
@@ -116,15 +125,29 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // checkEnvelope asserts the decoder's invariant: a returned envelope has a
-// known type and the matching body present.
+// known type and the matching body present, and every float in it is
+// finite.
 func checkEnvelope(t *testing.T, env *Envelope) {
 	t.Helper()
+	finite := func(what string, v float64) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("decoder accepted non-finite %s %v", what, v)
+		}
+	}
 	ok := false
 	switch env.Type {
 	case TypeHello:
 		ok = env.Hello != nil
+		if ok {
+			finite("tx power", env.Hello.TxPowerDBm)
+		}
 	case TypeReport:
 		ok = env.Report != nil
+		if ok {
+			for _, c := range env.Report.Clients {
+				finite("client SNR", c.SNR20dB)
+			}
+		}
 	case TypeAssign:
 		ok = env.Assign != nil
 	case TypeError:

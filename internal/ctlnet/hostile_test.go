@@ -3,7 +3,10 @@ package ctlnet
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"math"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -183,4 +186,98 @@ func TestMuteClientReaped(t *testing.T) {
 	}
 	_ = s.Close()
 	waitGoroutines(t, before)
+}
+
+// TestHostileNonFiniteReport: a v2 report whose client SNR is NaN is
+// rejected at decode. The session gets an error reply and is dropped, the
+// AP keeps its stored report, and the next pass leaves every assignment
+// where it was.
+func TestHostileNonFiniteReport(t *testing.T) {
+	s, addr := streamServer(t, StreamConfig{}, nil, nil)
+	peers := map[string]*Agent{}
+	for _, id := range []string{"AP1", "AP2"} {
+		a, err := DialOpts(addr, Hello{APID: id, TxPowerDBm: 18}, AgentOptions{Frame: FrameV2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		peers[id] = a
+	}
+	if err := peers["AP1"].SendReport(report([]string{"AP2", "AP3"}, 30, 28)); err != nil {
+		t.Fatal(err)
+	}
+	if err := peers["AP2"].SendReport(report([]string{"AP1"}, 25, 20)); err != nil {
+		t.Fatal(err)
+	}
+
+	// AP3 speaks v2 by hand, so it can put a NaN on the wire.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+	dec := &frameDecoder{}
+	if err := writeMsg(conn, &Envelope{Type: TypeHello, Hello: &Hello{APID: "AP3", TxPowerDBm: 18, Frame: FrameV2}}); err != nil {
+		t.Fatal(err)
+	}
+	if env, err := readMsgAny(r, dec); err != nil || env.Type != TypeFrame {
+		t.Fatalf("want the frame ack, got %+v (err %v)", env, err)
+	}
+	sendFrame := func(rep Report) {
+		var e frameEncoder
+		e.begin()
+		e.Report(&rep)
+		data, err := e.finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sendFrame(Report{APID: "AP3", Seq: 1, Clients: []ClientObs{{ClientID: "a", SNR20dB: -5}}, Hears: []string{"AP1"}})
+	waitForReports(t, s, 3)
+	before, err := s.Reallocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := counterValue(s.Obs, "acorn_ctlnet_reports_total")
+
+	sendFrame(Report{APID: "AP3", Seq: 2, Clients: []ClientObs{{ClientID: "a", SNR20dB: math.NaN()}}, Hears: []string{"AP1"}})
+	for {
+		env, err := readMsgAny(r, dec)
+		if err != nil {
+			t.Fatalf("no error reply before the session ended: %v", err)
+		}
+		if env.Type == TypeError {
+			if !strings.Contains(env.Error.Reason, "non-finite") {
+				t.Fatalf("error reply %q does not name the non-finite value", env.Error.Reason)
+			}
+			break
+		}
+	}
+	if _, err := readMsgAny(r, dec); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("session not dropped after the error reply: %v", err)
+	}
+
+	s.mu.Lock()
+	stored := s.reports["AP3"].rep
+	s.mu.Unlock()
+	if stored.Seq != 1 || len(stored.Clients) != 1 || stored.Clients[0].SNR20dB != -5 {
+		t.Fatalf("stored report changed: %+v", stored)
+	}
+	if got := counterValue(s.Obs, "acorn_ctlnet_reports_total"); got != applied {
+		t.Fatalf("reports applied %d -> %d: the NaN report got through", applied, got)
+	}
+	after, err := s.Reallocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, ch := range before {
+		if after[id] != ch {
+			t.Errorf("%s moved %v -> %v after the rejected report", id, ch, after[id])
+		}
+	}
 }

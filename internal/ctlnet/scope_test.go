@@ -451,16 +451,15 @@ func TestUnchangedResendCommitsPendingSwitch(t *testing.T) {
 }
 
 // TestReallocateSerializesWithStreamPasses hammers Reallocate while agents
-// stream changing reports, with no debounce, so full and stream passes
-// overlap constantly. After each round, once everything is quiet, every
-// agent must hold exactly the controller's stored assignment: a stream pass
-// that installed over a concurrent full pass without pushing would leave an
-// agent on a channel the table no longer records. The watchdog is off, so
-// nothing repairs such a split.
+// stream changing reports, so full and stream passes overlap constantly.
+// After each round, once everything is quiet, every agent must hold exactly
+// the controller's stored assignment: a stream pass that installed over a
+// concurrent full pass without pushing would leave an agent on a channel
+// the table no longer records. The watchdog is off, so nothing repairs such
+// a split.
 func TestReallocateSerializesWithStreamPasses(t *testing.T) {
 	s, addr := streamServer(t, StreamConfig{
 		Enabled:        true,
-		Debounce:       -1,
 		WatchdogPeriod: -1,
 		Gate:           core.GateOptions{Margin: -1, Streak: 1, RatePerHour: 1e6, Burst: 1e6},
 	}, nil, nil)

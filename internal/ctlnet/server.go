@@ -138,6 +138,7 @@ type serverMetrics struct {
 	streamWatchdog  *obs.Counter
 	streamVetoes    *obs.Counter
 	passViewAPs     *obs.Histogram
+	reallocSeconds  *obs.Histogram
 	cells20         *obs.Gauge
 	cells40         *obs.Gauge
 
@@ -196,6 +197,8 @@ func (s *Server) m() *serverMetrics {
 			passViewAPs: reg.Histogram("acorn_ctlnet_pass_view_aps",
 				"APs in the measurement view of one reallocation pass",
 				[]float64{1, 4, 16, 64, 256, 1024, 4096, 16384}),
+			reallocSeconds: reg.Histogram("acorn_ctlnet_reallocate_seconds",
+				"wall time of one networked reallocation (view build + search + push)", nil),
 			// The same gauges core.RecordAllocMetrics sets from a view; the
 			// server overwrites them with the whole table after every pass.
 			cells20: reg.Gauge("acorn_core_cells_20mhz", "cells on a 20 MHz channel"),
@@ -690,8 +693,7 @@ func (s *Server) reallocate(only map[string]bool, bypassStreak bool, pspan obs.S
 	s.passMu.Lock()
 	defer s.passMu.Unlock()
 	m := s.m()
-	span := m.reg.Histogram("acorn_ctlnet_reallocate_seconds",
-		"wall time of one networked reallocation (view build + search + push)", nil).Start()
+	span := m.reallocSeconds.Start()
 	in := s.snapshot(only)
 	if len(in.hellos) == 0 {
 		m.reallocSkipped.Inc()

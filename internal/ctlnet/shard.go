@@ -277,13 +277,11 @@ func (s *Server) applyReports(batch []reportEvent) {
 	if unchanged > 0 {
 		m.reportsNoop.Add(unchanged)
 	}
-	for _, d := range dirty {
-		s.markDirty(d.ap, d.at)
-	}
+	s.markDirty(dirty)
 }
 
 // dirtyMark defers a stream-mode dirty marking until the controller lock
-// is released (markDirty takes the stream lock).
+// is released (markDirty takes the stream lock once for the whole batch).
 type dirtyMark struct {
 	ap string
 	at time.Time

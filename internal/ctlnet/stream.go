@@ -4,9 +4,9 @@ package ctlnet
 // Reallocate, every accepted report that changes its AP's measurements
 // marks the AP dirty in a coalesced set (latest-wins per AP — a storm of
 // reports from one AP is one unit of work) and wakes a consumer goroutine.
-// The consumer debounces briefly so a burst collapses into one pass,
-// expands the dirty set one hop through the reported hear-graph, and runs
-// a reallocation restricted to that neighbourhood — built, priced and
+// The consumer drains the set the way core's StreamController pumps, with
+// no timer, expands it one hop through the reported hear-graph, and runs a
+// reallocation restricted to that neighbourhood — built, priced and
 // pushed over only the hear-graph components it touches — with every
 // proposed switch judged by a core.SwitchGate (goodput hysteresis, per-AP
 // token buckets, flap accounting). A watchdog forces a periodic full
@@ -26,16 +26,9 @@ import (
 	"acorn/internal/obs"
 )
 
-// Default stream-mode tuning.
-const (
-	// DefaultStreamDebounce is how long the consumer waits after a wake-up
-	// before draining the dirty set, so a report storm coalesces into one
-	// neighbourhood pass.
-	DefaultStreamDebounce = 25 * time.Millisecond
-	// DefaultStreamWatchdog bounds how stale the last full pass may get
-	// before the consumer forces one.
-	DefaultStreamWatchdog = 2 * time.Minute
-)
+// DefaultStreamWatchdog bounds how stale the last full pass may get before
+// the stream consumer forces one.
+const DefaultStreamWatchdog = 2 * time.Minute
 
 // StreamConfig switches the server into event-driven mode and tunes it.
 type StreamConfig struct {
@@ -45,18 +38,11 @@ type StreamConfig struct {
 	// Gate parameterizes the anti-flap switch gate shared by the streaming
 	// and full passes. The zero value takes core's defaults.
 	Gate core.GateOptions
-	// Debounce is the wake-to-drain delay that coalesces report bursts.
-	// Zero means DefaultStreamDebounce; negative disables.
-	Debounce time.Duration
 	// WatchdogPeriod bounds the age of the last successful full pass; past
 	// it the consumer forces one (bypassing the streak hysteresis, so
 	// sustained-but-vetoed improvements eventually land). Zero means
 	// DefaultStreamWatchdog; negative disables the watchdog.
 	WatchdogPeriod time.Duration
-}
-
-func (c StreamConfig) debounce() time.Duration {
-	return timeout(c.Debounce, DefaultStreamDebounce)
 }
 
 func (c StreamConfig) watchdogPeriod() time.Duration {
@@ -136,22 +122,28 @@ func (s *Server) stopStream() {
 	}
 }
 
-// markDirty records that an AP's view changed and wakes the consumer. recv
-// is the report's receive time; the oldest one in the dirty set becomes the
-// origin of the next pass's span, so queue + debounce dwell is attributed.
-func (s *Server) markDirty(apID string, recv time.Time) {
+// markDirty records that a batch of APs changed, under one lock
+// acquisition, and wakes the consumer once. Each mark's time is its
+// report's receipt; the oldest one in the dirty set becomes the origin of
+// the next pass's span, so the wait for the pass in flight is attributed.
+func (s *Server) markDirty(marks []dirtyMark) {
+	if len(marks) == 0 {
+		return
+	}
 	st := &s.stream
 	st.mu.Lock()
 	if st.dirty == nil {
 		st.dirty = make(map[string]bool)
 	}
-	st.marks++
-	if st.dirty[apID] {
-		st.coalesced++
-	}
-	st.dirty[apID] = true
-	if st.earliest.IsZero() || recv.Before(st.earliest) {
-		st.earliest = recv
+	for _, d := range marks {
+		st.marks++
+		if st.dirty[d.ap] {
+			st.coalesced++
+		}
+		st.dirty[d.ap] = true
+		if st.earliest.IsZero() || d.at.Before(st.earliest) {
+			st.earliest = d.at
+		}
 	}
 	wake := st.wake
 	s.m().streamDirty.Set(float64(len(st.dirty)))
@@ -272,9 +264,11 @@ func (g hearGraph) closure(only map[string]bool, known map[string]Hello) []strin
 	return out
 }
 
-// runStream is the consumer: it drains the dirty set after a debounce on
-// every wake-up, and keeps the watchdog honest on a coarse tick even when
-// no events flow.
+// runStream is the consumer. A wake-up drains the dirty set and keeps
+// draining while passes find work, so marks that land during a pass (or
+// while Reallocate holds the pass mutex) form the next batch. A failed
+// pass ends the drain: the next mark or the coarse tick retries it, and
+// the tick keeps the watchdog honest when no events flow.
 func (s *Server) runStream(stopc chan struct{}, wake chan struct{}) {
 	defer s.wg.Done()
 	tickEvery := s.Stream.watchdogPeriod() / 4
@@ -288,35 +282,29 @@ func (s *Server) runStream(stopc chan struct{}, wake chan struct{}) {
 		case <-stopc:
 			return
 		case <-wake:
-			if d := s.Stream.debounce(); d > 0 {
-				timer := time.NewTimer(d)
-				select {
-				case <-stopc:
-					timer.Stop()
-					return
-				case <-timer.C:
-				}
+			for s.streamPass() {
 			}
-			s.streamPass()
 		case <-tick.C:
-			s.streamPass() // drains requeued work from failed passes
+			for s.streamPass() {
+			}
 			s.maybeWatchdog()
 		}
 	}
 }
 
 // streamPass runs one neighbourhood-restricted, gated reallocation over the
-// currently dirty APs. A failed pass requeues its dirty set. The pass is
-// traced as one span from the oldest triggering report's receipt to the
-// last push, and its latency feeds the server's SLO monitor.
-func (s *Server) streamPass() {
+// currently dirty APs, and reports whether it took work and finished it. A
+// failed pass requeues its dirty set with its original receipt stamp. The
+// pass is traced as one span from the oldest triggering report's receipt
+// to the last push, and its latency feeds the server's SLO monitor.
+func (s *Server) streamPass() bool {
 	dirty, earliest := s.takeDirty()
 	if len(dirty) == 0 {
-		return
+		return false
 	}
 	only := s.hearNeighbourhood(dirty)
 	if len(only) == 0 {
-		return // every dirty id was unknown; nothing to do
+		return true // every dirty id was unknown; nothing to do
 	}
 	m := s.m()
 	var span obs.SpanRef
@@ -335,7 +323,7 @@ func (s *Server) streamPass() {
 		m.streamFailures.Inc()
 		s.stormLogger().Warn("stream pass failed, requeueing", "dirty", len(dirty), "err", err)
 		s.requeueDirty(dirty, earliest)
-		return
+		return false
 	}
 	span.MarkEnd(PassStageFinal)
 	if !earliest.IsZero() {
@@ -345,6 +333,7 @@ func (s *Server) streamPass() {
 	s.stream.passes++
 	s.stream.mu.Unlock()
 	m.streamPasses.With("local").Inc()
+	return true
 }
 
 // maybeWatchdog forces a full pass when the last one is too old, so work

@@ -4,8 +4,8 @@ package ctlnet
 // reallocation pass — from the earliest report receipt that triggered it
 // (stream mode) or the call itself (full pass) to the last assignment
 // push — so a finished span attributes the whole receive-to-push path:
-// queue/debounce wait, measurement-view build, the channel search, gating,
-// and the network pushes.
+// queue wait, measurement-view build, the channel search, gating, and the
+// network pushes.
 
 import (
 	"time"
@@ -16,7 +16,8 @@ import (
 // Stage indices for Server pass spans (names in ServerTraceStages).
 const (
 	// PassStageQueue: earliest triggering report receipt to pass start —
-	// dirty-set dwell plus the debounce. Zero for direct full passes.
+	// the wait for the pass in flight (or a Reallocate holding the pass
+	// mutex) plus the consumer's wake-up. Zero for direct full passes.
 	PassStageQueue = iota
 	// PassStageView: report snapshot, TTL quarantine, and the
 	// measurement-view build (buildView + search seeding).

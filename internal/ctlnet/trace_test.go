@@ -21,9 +21,8 @@ func TestStreamPassSpansAndSLO(t *testing.T) {
 	s := NewServer(1)
 	s.Obs = obs.NewRegistry()
 	s.Stream = StreamConfig{
-		Enabled:  true,
-		Debounce: time.Millisecond,
-		Gate:     core.GateOptions{Streak: 1},
+		Enabled: true,
+		Gate:    core.GateOptions{Streak: 1},
 	}
 	s.Tracer = NewServerTracer(64, 1, nil)
 	s.SLO = obs.NewSLO(obs.SLOOptions{Name: "ctlnet_pass_p99", Budget: time.Hour})
@@ -76,7 +75,8 @@ func TestStreamPassSpansAndSLO(t *testing.T) {
 		if sum != sp.TotalNs {
 			t.Fatalf("pass span stage sum %d != total %d (%+v)", sum, sp.TotalNs, sp.Stages)
 		}
-		// Queue (receipt + debounce) and the view build always take
+		// Queue (receipt to pass start: the wait for the pass in flight
+		// plus the consumer's wake-up) and the view build always take
 		// measurable wall time on a real clock.
 		if sp.Stages["queue"] <= 0 {
 			t.Fatalf("pass span missing queue dwell: %v", sp.Stages)

@@ -76,9 +76,9 @@ type MetricSnapshot struct {
 	Value *float64 `json:"value,omitempty"`
 	// Count, Sum and Buckets are set for histograms; Buckets maps the
 	// stringified upper bound to the cumulative count.
-	Count   *uint64            `json:"count,omitempty"`
-	Sum     *float64           `json:"sum,omitempty"`
-	Buckets map[string]uint64  `json:"buckets,omitempty"`
+	Count   *uint64           `json:"count,omitempty"`
+	Sum     *float64          `json:"sum,omitempty"`
+	Buckets map[string]uint64 `json:"buckets,omitempty"`
 	// Series is set for labelled families: label value → child value.
 	Label  string             `json:"label,omitempty"`
 	Series map[string]float64 `json:"series,omitempty"`

@@ -59,7 +59,7 @@ func TestTracerStagePartitionSumsToTotal(t *testing.T) {
 	if sp.TotalNs != sum {
 		t.Errorf("stage sum %d != total %d (partition must be exact)", sum, sp.TotalNs)
 	}
-	if sp.Attrs["rank_eval"] != (2 * time.Millisecond).Nanoseconds() || sp.Counts["rank_eval"] != 7 {
+	if sp.Attrs["rank_eval"] != (2*time.Millisecond).Nanoseconds() || sp.Counts["rank_eval"] != 7 {
 		t.Errorf("attr: %+v", sp)
 	}
 }
