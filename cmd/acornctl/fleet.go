@@ -17,7 +17,6 @@ import (
 func fleet(args []string) {
 	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
 	agents := fs.Int("agents", 1000, "fleet size (in-process agents)")
-	frame := fs.Int("frame", 2, "wire framing the agents request: 2 = binary frames, 1 = JSON lines")
 	serverShards := fs.Int("server-shards", 0, "controller accept/IO shards (0 = min(8, GOMAXPROCS))")
 	duration := fs.Duration("duration", 3*time.Second, "steady-state phase length")
 	reportPeriod := fs.Duration("report-period", 2*time.Second, "per-agent report cadence, jittered +/-50%")
@@ -33,7 +32,6 @@ func fleet(args []string) {
 
 	res, err := fleetsim.Run(context.Background(), fleetsim.Options{
 		Agents:         *agents,
-		Frame:          *frame,
 		Shards:         *serverShards,
 		Duration:       *duration,
 		ReportInterval: *reportPeriod,
@@ -55,7 +53,7 @@ func fleet(args []string) {
 		}
 		return
 	}
-	fmt.Printf("fleet: %d agents (frame v%d, %s transport)\n", res.Agents, res.Frame, *transport)
+	fmt.Printf("fleet: %d agents (%s transport)\n", res.Agents, *transport)
 	fmt.Printf("  converged:      %v in %v\n", res.Converged, res.ConvergeTime.Round(time.Millisecond))
 	fmt.Printf("  reports:        %d applied (%.0f/s sustained), %d coalesced in shard queues, %d shed\n",
 		res.ReportsApplied, res.ReportsPerSec, res.ShardCoalesced, res.ShardShed)

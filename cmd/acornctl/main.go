@@ -25,7 +25,7 @@
 //	    (default: -period), so vetoed or failed work is never stranded.
 //
 //	acornctl agent -addr host:7431 -id AP1 [-report meas.json]
-//	              [-period 30s] [-heartbeat 15s] [-frame 2]
+//	              [-period 30s] [-heartbeat 15s]
 //	              [-backoff-min 500ms] [-backoff-max 1m]
 //	    Run one AP agent with automatic reconnection: jittered
 //	    exponential backoff between attempts, hello re-sent on every
@@ -41,7 +41,7 @@
 //	    delays, corrupt bytes) and the agents reconnect through the
 //	    faults until the allocation converges anyway.
 //
-//	acornctl fleet [-agents 1000] [-frame 2] [-server-shards 0]
+//	acornctl fleet [-agents 1000] [-server-shards 0]
 //	              [-duration 3s] [-report-period 2s] [-heartbeat 5s]
 //	              [-churn 0.1] [-storm 0.1] [-transport pipe] [-json]
 //	    Boot an in-process fleet of reconnecting agents against a real
@@ -283,7 +283,6 @@ func agent(args []string) {
 	reportPath := fs.String("report", "", "JSON file with the ctlnet.Report to stream (empty = clientless)")
 	period := fs.Duration("period", 30*time.Second, "measurement report interval")
 	heartbeat := fs.Duration("heartbeat", ctlnet.DefaultHeartbeatInterval, "ping interval keeping the session alive")
-	frame := fs.Int("frame", 2, "wire framing version to request: 2 = batched binary frames (falls back to JSON against an old controller), 1 = JSON lines")
 	backoffMin := fs.Duration("backoff-min", 500*time.Millisecond, "first reconnect delay")
 	backoffMax := fs.Duration("backoff-max", time.Minute, "reconnect delay cap")
 	logLevel := fs.String("log-level", "info", "log threshold: debug|info|warn|error|off")
@@ -308,7 +307,7 @@ func agent(args []string) {
 		ctlnet.Hello{APID: *id, TxPowerDBm: *txPower},
 		ctlnet.ReconnectOptions{
 			Backoff: ctlnet.Backoff{Min: *backoffMin, Max: *backoffMax},
-			Agent:   ctlnet.AgentOptions{HeartbeatInterval: *heartbeat, Frame: *frame},
+			Agent:   ctlnet.AgentOptions{HeartbeatInterval: *heartbeat},
 			Log:     logger,
 		})
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 type agentConfig struct {
 	addr         string
 	heartbeat    time.Duration
-	frame        int
 	backoffMin   time.Duration
 	backoffMax   time.Duration
 	reportPeriod time.Duration
@@ -74,7 +73,7 @@ func runAgents(n *acorn.Network, clients []*acorn.Client, cfg agentConfig, healt
 			ctlnet.Hello{APID: ap.ID, TxPowerDBm: float64(ap.TxPower)},
 			ctlnet.ReconnectOptions{
 				Backoff: ctlnet.Backoff{Min: cfg.backoffMin, Max: cfg.backoffMax},
-				Agent:   ctlnet.AgentOptions{HeartbeatInterval: cfg.heartbeat, Frame: cfg.frame},
+				Agent:   ctlnet.AgentOptions{HeartbeatInterval: cfg.heartbeat},
 				Log:     logger,
 			})
 		if err != nil {

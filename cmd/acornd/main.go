@@ -71,7 +71,6 @@ func main() {
 	dot := flag.Bool("dot", false, "emit the configured interference graph in Graphviz DOT")
 	controller := flag.String("controller", "", "stream measurements to this acornctl controller instead of solving locally")
 	heartbeat := flag.Duration("heartbeat", 15*time.Second, "agent ping interval (with -controller)")
-	frame := flag.Int("frame", 2, "wire framing version to request (with -controller): 2 = batched binary frames, 1 = JSON lines")
 	backoffMin := flag.Duration("backoff-min", 500*time.Millisecond, "first reconnect delay (with -controller)")
 	backoffMax := flag.Duration("backoff-max", time.Minute, "reconnect delay cap (with -controller)")
 	reportPeriod := flag.Duration("report-period", 30*time.Second, "measurement report interval (with -controller)")
@@ -154,7 +153,6 @@ func main() {
 		runAgents(net, clients, agentConfig{
 			addr:         *controller,
 			heartbeat:    *heartbeat,
-			frame:        *frame,
 			backoffMin:   *backoffMin,
 			backoffMax:   *backoffMax,
 			reportPeriod: *reportPeriod,

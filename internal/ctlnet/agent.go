@@ -30,11 +30,6 @@ type AgentOptions struct {
 	// WriteTimeout bounds each outbound write. Zero means
 	// DefaultWriteTimeout; negative disables write deadlines.
 	WriteTimeout time.Duration
-	// Frame selects the wire framing the agent offers in its hello: zero
-	// and FrameV2 request batched binary frames (a v1 controller simply
-	// never acks, and the session stays on JSON lines); FrameV1 pins
-	// newline-delimited JSON.
-	Frame int
 	// ReadBufBytes sizes the connection's buffered reader. Zero means
 	// 64 KiB; fleet-scale harnesses shrink it so tens of thousands of
 	// in-process agents stay affordable.
@@ -49,8 +44,7 @@ type AgentOptions struct {
 // alive and lets both ends detect a dead peer within PeerTimeout.
 //
 // All writes after the hello flow through a per-connection outbox that
-// batches pending reports and heartbeats into one write, and — once the
-// controller acks frame v2 — encodes them as binary frames.
+// batches pending reports and heartbeats into one frame per write.
 type Agent struct {
 	apID string
 	conn net.Conn
@@ -154,10 +148,7 @@ func NewAgentOpts(conn net.Conn, hello Hello, opts AgentOptions) (*Agent, error)
 		updates: make(chan spectrum.Channel, 1),
 		done:    make(chan struct{}),
 	}
-	if opts.Frame != FrameV1 {
-		hello.Frame = FrameV2
-	}
-	if err := a.ob.writeDirect(&Envelope{Type: TypeHello, Hello: &hello}); err != nil {
+	if err := writeOne(conn, a.ob.writeTimeout, func(e *frameEncoder) { e.Hello(&hello) }); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -200,7 +191,7 @@ func (a *Agent) readLoop() {
 		if peerTimeout > 0 {
 			_ = a.conn.SetReadDeadline(time.Now().Add(peerTimeout))
 		}
-		env, err := readMsgAny(a.r, a.dec)
+		env, err := readMsg(a.r, a.dec)
 		if err != nil {
 			a.mu.Lock()
 			a.readErr = err
@@ -238,11 +229,6 @@ func (a *Agent) readLoop() {
 			a.mu.Unlock()
 			if rtt > 0 {
 				a.rttHist.Observe(rtt.Seconds())
-			}
-		case TypeFrame:
-			// The controller accepts binary frames: flip our writes to v2.
-			if env.Frame.V >= FrameV2 {
-				a.ob.setV2()
 			}
 		default:
 			// Any future message type only matters for the read deadline

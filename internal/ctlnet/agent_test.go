@@ -27,12 +27,9 @@ func TestUpdatesCoalesceLatestWins(t *testing.T) {
 
 	const n = 30
 	for i := 1; i <= n; i++ {
-		err := writeMsg(srv, &Envelope{Type: TypeAssign, Assign: &Assign{
-			APID: "AP1", WidthMHz: 20, Primary: i,
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sendFrame(t, srv, func(e *frameEncoder) {
+			e.Assign(&Assign{APID: "AP1", WidthMHz: 20, Primary: i})
+		})
 	}
 	want := spectrum.NewChannel20(spectrum.ChannelID(n))
 	// Wait until the read loop has processed the last assignment.

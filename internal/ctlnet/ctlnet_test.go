@@ -1,11 +1,14 @@
 package ctlnet
 
 import (
+	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"acorn/internal/obs"
 	"acorn/internal/spectrum"
 )
 
@@ -215,16 +218,57 @@ func TestMalformedPeerHandled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Garbage instead of hello: the server must answer with an error (or
-	// just close), never hang or crash.
-	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
+	// Garbage instead of hello: the server must answer with an error
+	// frame, never hang or crash.
+	if _, err := conn.Write([]byte("this is not a frame\n")); err != nil {
 		t.Fatal(err)
 	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 256)
-	n, _ := conn.Read(buf)
-	if n > 0 && !strings.Contains(string(buf[:n]), "error") {
-		t.Errorf("unexpected reply: %q", buf[:n])
+	if got := readReply(t, conn); !strings.Contains(got, "bad frame magic") {
+		t.Errorf("unexpected reply: %q", got)
+	}
+}
+
+// TestMetricSeriesBounded boots 4 and then 32 agents against servers on
+// their own registries: the server's exported series count must not grow
+// with the fleet (per-AP detail lives behind ConnectedAgents, not in
+// labelled series).
+func TestMetricSeriesBounded(t *testing.T) {
+	series := func(n int) int {
+		s, addr := streamServer(t, StreamConfig{}, nil, func(s *Server) {
+			s.Shards = ShardConfig{N: 1} // per-shard series stay at one shard
+		})
+		agentReg := obs.NewRegistry()
+		for i := 0; i < n; i++ {
+			a, err := DialOpts(addr, Hello{APID: fmt.Sprintf("AP%02d", i), TxPowerDBm: 18}, AgentOptions{Obs: agentReg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			if err := a.SendReport(report(nil, 30)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitForReports(t, s, n)
+		if _, err := s.Reallocate(); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(s.ConnectedAgents()); got != n {
+			t.Fatalf("%d agents connected, want %d", got, n)
+		}
+		var buf bytes.Buffer
+		if err := s.Obs.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		count := 0
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") {
+				count++
+			}
+		}
+		return count
+	}
+	if small, large := series(4), series(32); small != large {
+		t.Fatalf("server exports %d series with 4 agents but %d with 32", small, large)
 	}
 }
 

@@ -1,23 +1,16 @@
 package ctlnet
 
-// Framing v2: length-prefixed binary frames carrying batches of messages.
-//
-// The v1 wire is one JSON object per newline-terminated line — simple, but
-// at fleet scale the per-message overhead (field names, base-10 floats, a
-// syscall-sized write per message) dominates. A v2 frame is
+// The wire format: length-prefixed binary frames carrying batches of
+// messages. Every byte either end writes belongs to a frame
 //
 //	0xAC | version (1 byte) | payload length (u32 big-endian) | payload
 //
 // where the payload is a sequence of kind-tagged message bodies. Integers
 // are uvarints, floats are 8-byte IEEE 754 bits, strings are
 // length-prefixed. One frame carries a whole batch — an assignment push
-// plus pending pongs, or a report plus heartbeats — in one write.
-//
-// Mixing is safe by construction: 0xAC can never start a JSON line, so a
-// reader peeks one byte and dispatches per message (readMsgAny). That lets
-// a connection negotiate up mid-stream — the agent requests v2 in its
-// hello (a JSON line), the controller acks with TypeFrame and both ends
-// flip their writers — while v1 peers never see a frame at all.
+// plus pending pongs, or a report plus heartbeats — in one write. The
+// agent's hello is the first message of the first frame on a connection;
+// a first byte other than 0xAC is rejected before anything else is read.
 //
 // Decoding reuses a per-connection payload buffer and scratch message
 // bodies, so the steady-state report/push path allocates near zero;
@@ -29,22 +22,16 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
-)
 
-// Frame versions negotiable at hello.
-const (
-	FrameV1 = 1 // newline-delimited JSON, one message per line
-	FrameV2 = 2 // length-prefixed binary frames carrying message batches
+	"acorn/internal/wlan"
 )
 
 const (
-	// frameMagic is the first byte of every v2 frame. It is not valid
-	// leading UTF-8 and never begins a JSON value, so a reader can
-	// dispatch between framings on one peeked byte.
-	frameMagic  = 0xAC
-	frameHdrLen = 6 // magic + version + u32 payload length
+	frameMagic   = 0xAC
+	frameVersion = 2
+	frameHdrLen  = 6 // magic + version + u32 payload length
 
-	// MaxFrameBytes bounds one v2 frame payload, mirroring MaxLineBytes.
+	// MaxFrameBytes bounds one frame payload.
 	MaxFrameBytes = 1 << 20
 
 	// maxFrameStr and maxFrameItems bound strings and repeated groups
@@ -52,9 +39,14 @@ const (
 	// allocation before the payload bound would catch it.
 	maxFrameStr   = 1 << 16
 	maxFrameItems = 1 << 16
+
+	// maxSNRdB bounds a reported client SNR in magnitude. The link model
+	// spans about -72 to +94 dB at legal transmit powers; anything beyond
+	// this is not a measurement.
+	maxSNRdB = 150
 )
 
-// v2 message kind tags.
+// Message kind tags. The values are the wire format: never renumber them.
 const (
 	kindHello = iota + 1
 	kindReport
@@ -62,7 +54,7 @@ const (
 	kindError
 	kindPing
 	kindPong
-	kindFrameAck
+	_ // 7 is retired (a framing acknowledgement); it must stay unknown
 
 	// kindReportSame re-submits the connection's previous report under a
 	// new sequence number, kolide-style: a fleet's steady state is mostly
@@ -81,7 +73,7 @@ func (e *frameEncoder) begin() {
 	if e.buf == nil {
 		e.buf = make([]byte, 0, 512)
 	}
-	e.buf = append(e.buf[:0], frameMagic, FrameV2, 0, 0, 0, 0)
+	e.buf = append(e.buf[:0], frameMagic, frameVersion, 0, 0, 0, 0)
 }
 
 // finish patches the payload length and returns the wire bytes, which
@@ -111,7 +103,6 @@ func (e *frameEncoder) Hello(h *Hello) {
 	e.buf = append(e.buf, kindHello)
 	e.str(h.APID)
 	e.f64(h.TxPowerDBm)
-	e.uint(uint64(h.Frame))
 }
 
 func (e *frameEncoder) Report(rep *Report) {
@@ -160,16 +151,10 @@ func (e *frameEncoder) Pong(seq uint64) {
 	e.uint(seq)
 }
 
-func (e *frameEncoder) FrameAck(v int) {
-	e.buf = append(e.buf, kindFrameAck)
-	e.uint(uint64(v))
-}
-
-// frameDecoder incrementally yields the messages of received v2 frames.
-// The payload buffer and the scalar message bodies are reused across
-// messages: an Envelope returned by next (and by readMsgAny) is valid only
-// until the next call. Report bodies are freshly allocated — callers
-// retain them.
+// frameDecoder incrementally yields the messages of received frames. The
+// payload buffer and the scalar message bodies are reused across messages:
+// an Envelope returned by next (and by readMsg) is valid only until the
+// next call. Report bodies are freshly allocated — callers retain them.
 type frameDecoder struct {
 	payload []byte
 	off     int
@@ -179,7 +164,6 @@ type frameDecoder struct {
 	as    Assign
 	errb  Error
 	hello Hello
-	ack   FrameInfo
 
 	// lastRep is the most recent fully-decoded report on this connection,
 	// the expansion base for kindReportSame. The expanded Report shares its
@@ -192,16 +176,22 @@ type frameDecoder struct {
 // errMalformed.
 func (d *frameDecoder) readFrame(r *bufio.Reader) error {
 	var hdr [frameHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
+	// The magic is checked alone first, so a peer speaking anything else
+	// is rejected on its first byte rather than after a full header.
+	b, err := r.ReadByte()
+	if err != nil {
+		return err
+	}
+	if b != frameMagic {
+		return protoErrf("bad frame magic 0x%02x", b)
+	}
+	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return protoErrf("truncated frame header")
 		}
 		return err
 	}
-	if hdr[0] != frameMagic {
-		return protoErrf("bad frame magic 0x%02x", hdr[0])
-	}
-	if hdr[1] != FrameV2 {
+	if hdr[1] != frameVersion {
 		return protoErrf("unsupported frame version %d", hdr[1])
 	}
 	n := binary.BigEndian.Uint32(hdr[2:frameHdrLen])
@@ -247,15 +237,16 @@ func (d *frameDecoder) count() (int, error) {
 	return int(v), nil
 }
 
-// f64 reads a float, rejecting NaN and ±Inf as v1 JSON cannot carry them.
-func (d *frameDecoder) f64() (float64, error) {
+// f64 reads a float and rejects it, NaN included, unless it lies in
+// [lo, hi]; what names the field in the error.
+func (d *frameDecoder) f64(what string, lo, hi float64) (float64, error) {
 	if d.off+8 > len(d.payload) {
 		return 0, protoErrf("truncated float in frame")
 	}
 	v := math.Float64frombits(binary.BigEndian.Uint64(d.payload[d.off:]))
 	d.off += 8
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, protoErrf("non-finite float %v in frame", v)
+	if !(v >= lo && v <= hi) {
+		return 0, protoErrf("%s %v outside [%v, %v]", what, v, lo, hi)
 	}
 	return v, nil
 }
@@ -293,14 +284,9 @@ func (d *frameDecoder) next() (*Envelope, error) {
 		if h.APID, err = d.str(); err != nil {
 			return nil, err
 		}
-		if h.TxPowerDBm, err = d.f64(); err != nil {
+		if h.TxPowerDBm, err = d.f64("tx power dBm", wlan.MinTxPowerDBm, wlan.MaxTxPowerDBm); err != nil {
 			return nil, err
 		}
-		var fv uint64
-		if fv, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		h.Frame = int(fv)
 		d.hello = h
 		env.Type, env.Hello = TypeHello, &d.hello
 	case kindReport:
@@ -322,7 +308,7 @@ func (d *frameDecoder) next() (*Envelope, error) {
 			if rep.Clients[i].ClientID, err = d.str(); err != nil {
 				return nil, err
 			}
-			if rep.Clients[i].SNR20dB, err = d.f64(); err != nil {
+			if rep.Clients[i].SNR20dB, err = d.f64("client SNR dB", -maxSNRdB, maxSNRdB); err != nil {
 				return nil, err
 			}
 		}
@@ -395,46 +381,20 @@ func (d *frameDecoder) next() (*Envelope, error) {
 		}
 		d.hb = Heartbeat{Seq: seq}
 		env.Type, env.Pong = TypePong, &d.hb
-	case kindFrameAck:
-		var v uint64
-		if v, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		d.ack = FrameInfo{V: int(v)}
-		env.Type, env.Frame = TypeFrame, &d.ack
 	default:
 		return nil, protoErrf("unknown frame kind %d", kind)
 	}
 	return env, nil
 }
 
-// readMsgAny reads the next message in either framing: any byte but the v2
-// magic begins a v1 JSON line, the magic begins a v2 frame whose batched
-// messages are then yielded one at a time. dec may be nil for endpoints
-// that never negotiated v2, making a frame byte a protocol violation.
-//
-// The returned Envelope may alias dec's scratch bodies; it is valid only
-// until the next call (Report bodies are always fresh).
-func readMsgAny(r *bufio.Reader, dec *frameDecoder) (*Envelope, error) {
+// readMsg returns the next message of the current frame, or else reads
+// the next frame from r. The returned Envelope may alias dec's scratch
+// bodies; it is valid only until the next call (Report bodies are always
+// fresh).
+func readMsg(r *bufio.Reader, dec *frameDecoder) (*Envelope, error) {
 	for {
-		if dec != nil {
-			env, err := dec.next()
-			if err != nil {
-				return nil, err
-			}
-			if env != nil {
-				return env, nil
-			}
-		}
-		b, err := r.Peek(1)
-		if err != nil {
-			return nil, err
-		}
-		if b[0] != frameMagic {
-			return readMsg(r)
-		}
-		if dec == nil {
-			return nil, protoErrf("binary frame before negotiation")
+		if env, err := dec.next(); env != nil || err != nil {
+			return env, err
 		}
 		if err := dec.readFrame(r); err != nil {
 			return nil, err

@@ -5,23 +5,23 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 )
 
-// frameReader wraps encoded wire bytes for readMsgAny.
+// frameReader wraps encoded wire bytes for readMsg.
 func frameReader(data []byte) *bufio.Reader {
 	return bufio.NewReader(bytes.NewReader(data))
 }
 
 // TestFrameRoundTripAllKinds encodes one frame carrying every message kind
-// and decodes it back through readMsgAny, asserting field equality. The
+// and decodes it back through readMsg, asserting field equality. The
 // scratch-reuse contract means each envelope is checked before the next
 // call.
 func TestFrameRoundTripAllKinds(t *testing.T) {
 	var enc frameEncoder
 	enc.begin()
-	enc.FrameAck(FrameV2)
-	enc.Hello(&Hello{APID: "ap-1", TxPowerDBm: 17.5, Frame: FrameV2})
+	enc.Hello(&Hello{APID: "ap-1", TxPowerDBm: 17.5})
 	rep := Report{
 		APID: "ap-1", Seq: 42,
 		Clients: []ClientObs{{ClientID: "c0", SNR20dB: 23.25}, {ClientID: "c1", SNR20dB: 31}},
@@ -42,17 +42,14 @@ func TestFrameRoundTripAllKinds(t *testing.T) {
 	dec := &frameDecoder{}
 	next := func() *Envelope {
 		t.Helper()
-		env, err := readMsgAny(r, dec)
+		env, err := readMsg(r, dec)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		return env
 	}
 
-	if env := next(); env.Type != TypeFrame || env.Frame.V != FrameV2 {
-		t.Fatalf("ack = %+v", env)
-	}
-	if env := next(); env.Type != TypeHello || *env.Hello != (Hello{APID: "ap-1", TxPowerDBm: 17.5, Frame: FrameV2}) {
+	if env := next(); env.Type != TypeHello || *env.Hello != (Hello{APID: "ap-1", TxPowerDBm: 17.5}) {
 		t.Fatalf("hello = %+v", env.Hello)
 	}
 	env := next()
@@ -85,55 +82,31 @@ func TestFrameRoundTripAllKinds(t *testing.T) {
 	if env := next(); env.Type != TypePong || env.Pong.Seq != 8 {
 		t.Fatalf("pong = %+v", env)
 	}
-	if _, err := readMsgAny(r, dec); err != io.EOF {
+	if _, err := readMsg(r, dec); err != io.EOF {
 		t.Fatalf("after frame: err = %v, want EOF", err)
 	}
 }
 
-// TestFrameMixedWithJSON interleaves a JSON line between two frames on one
-// stream: the peeked-magic dispatch must route each correctly.
-func TestFrameMixedWithJSON(t *testing.T) {
+// TestJSONLineRejected feeds a newline-JSON message, as an old peer would
+// send, after a frame: the frame decodes, and the JSON line is a protocol
+// violation named by its first byte.
+func TestJSONLineRejected(t *testing.T) {
 	var enc frameEncoder
 	enc.begin()
 	enc.Pong(1)
 	f1, _ := enc.finish()
 	var buf bytes.Buffer
 	buf.Write(f1)
-	if err := writeMsg(&buf, &Envelope{Type: TypePing, Ping: &Heartbeat{Seq: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	enc.begin()
-	enc.Pong(3)
-	f2, _ := enc.finish()
-	buf.Write(f2)
+	buf.WriteString(`{"type":"ping","ping":{"seq":2}}` + "\n")
 
 	r := frameReader(buf.Bytes())
 	dec := &frameDecoder{}
-	for i, want := range []struct {
-		typ string
-		seq uint64
-	}{{TypePong, 1}, {TypePing, 2}, {TypePong, 3}} {
-		env, err := readMsgAny(r, dec)
-		if err != nil {
-			t.Fatalf("msg %d: %v", i, err)
-		}
-		if env.Type != want.typ {
-			t.Fatalf("msg %d: type %q, want %q", i, env.Type, want.typ)
-		}
+	if env, err := readMsg(r, dec); err != nil || env.Type != TypePong || env.Pong.Seq != 1 {
+		t.Fatalf("first frame = %+v, %v", env, err)
 	}
-}
-
-// TestFrameBeforeNegotiation asserts a frame byte on a connection that
-// never negotiated v2 (nil decoder) is a tagged protocol violation, not a
-// panic or a hang.
-func TestFrameBeforeNegotiation(t *testing.T) {
-	var enc frameEncoder
-	enc.begin()
-	enc.Pong(1)
-	data, _ := enc.finish()
-	_, err := readMsgAny(frameReader(data), nil)
-	if !errors.Is(err, errMalformed) {
-		t.Fatalf("err = %v, want errMalformed", err)
+	_, err := readMsg(r, dec)
+	if !errors.Is(err, errMalformed) || !strings.Contains(err.Error(), "bad frame magic 0x7b") {
+		t.Fatalf("JSON line: err = %v, want errMalformed naming the bad magic", err)
 	}
 }
 
@@ -160,8 +133,8 @@ func TestFrameBounds(t *testing.T) {
 			d[1] = 3
 			return d
 		}(), true},
-		{"zero payload", []byte{frameMagic, FrameV2, 0, 0, 0, 0}, true},
-		{"oversized payload length", []byte{frameMagic, FrameV2, 0xFF, 0xFF, 0xFF, 0xFF}, true},
+		{"zero payload", []byte{frameMagic, frameVersion, 0, 0, 0, 0}, true},
+		{"oversized payload length", []byte{frameMagic, frameVersion, 0xFF, 0xFF, 0xFF, 0xFF}, true},
 		{"truncated payload", valid[:len(valid)-1], false},
 		{"unknown kind", func() []byte {
 			var enc frameEncoder
@@ -170,6 +143,7 @@ func TestFrameBounds(t *testing.T) {
 			d, _ := enc.finish()
 			return append([]byte(nil), d...)
 		}(), true},
+		{"retired kind 7 is rejected", []byte{frameMagic, frameVersion, 0, 0, 0, 2, 7, 2}, true},
 		{"oversized string", func() []byte {
 			var enc frameEncoder
 			enc.begin()
@@ -205,7 +179,7 @@ func TestFrameBounds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := readMsgAny(frameReader(tc.data), &frameDecoder{})
+			_, err := readMsg(frameReader(tc.data), &frameDecoder{})
 			if err == nil {
 				t.Fatal("hostile frame accepted")
 			}
@@ -229,13 +203,12 @@ type captureConn struct {
 func (c *captureConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
 
 // TestReportSameCollapses pins the steady-state chatter win: an unchanged
-// report re-sent on a v2 connection collapses to a seq-only report-same
+// report re-sent on a connection collapses to a seq-only report-same
 // frame that the receiver expands to the full prior content, and any
 // content change goes back to a full report.
 func TestReportSameCollapses(t *testing.T) {
 	cc := &captureConn{}
 	ob := newOutbox(cc, 0, &outboxMetrics{})
-	ob.setV2()
 
 	rep := func(seq uint64, snr float64) *Report {
 		return &Report{
@@ -244,18 +217,18 @@ func TestReportSameCollapses(t *testing.T) {
 			Hears:   []string{"ap-00041", "ap-00043"},
 		}
 	}
-	if err := ob.writeBatch(true, 0, nil, nil, rep(1, 23.25), nil); err != nil {
+	if err := ob.writeBatch(nil, nil, rep(1, 23.25), nil); err != nil {
 		t.Fatal(err)
 	}
 	full := cc.buf.Len()
-	if err := ob.writeBatch(true, 0, nil, nil, rep(2, 23.25), nil); err != nil {
+	if err := ob.writeBatch(nil, nil, rep(2, 23.25), nil); err != nil {
 		t.Fatal(err)
 	}
 	same := cc.buf.Len() - full
 	if same >= full/4 {
 		t.Fatalf("report-same frame is %d bytes vs %d full: want at least 4x smaller", same, full)
 	}
-	if err := ob.writeBatch(true, 0, nil, nil, rep(3, 24.0), nil); err != nil {
+	if err := ob.writeBatch(nil, nil, rep(3, 24.0), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -265,7 +238,7 @@ func TestReportSameCollapses(t *testing.T) {
 		seq uint64
 		snr float64
 	}{{1, 23.25}, {2, 23.25}, {3, 24.0}} {
-		env, err := readMsgAny(r, dec)
+		env, err := readMsg(r, dec)
 		if err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
@@ -277,31 +250,7 @@ func TestReportSameCollapses(t *testing.T) {
 			t.Fatalf("msg %d content = %+v", i, env.Report)
 		}
 	}
-	if _, err := readMsgAny(r, dec); err != io.EOF {
+	if _, err := readMsg(r, dec); err != io.EOF {
 		t.Fatalf("after stream: err = %v, want EOF", err)
-	}
-}
-
-// TestFrameSmallerThanJSON pins the point of the exercise: the same report
-// batch costs materially fewer bytes framed than as JSON lines.
-func TestFrameSmallerThanJSON(t *testing.T) {
-	rep := Report{
-		APID: "ap-00042", Seq: 1234,
-		Clients: []ClientObs{{ClientID: "c0", SNR20dB: 23.25}, {ClientID: "c1", SNR20dB: 31.5}},
-		Hears:   []string{"ap-00041", "ap-00043"},
-	}
-	var enc frameEncoder
-	enc.begin()
-	enc.Report(&rep)
-	v2, err := enc.finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	if err := writeMsg(&v1, &Envelope{Type: TypeReport, Report: &rep}); err != nil {
-		t.Fatal(err)
-	}
-	if len(v2)*2 >= v1.Len() {
-		t.Fatalf("v2 frame %d bytes vs v1 line %d bytes: want at least 2x smaller", len(v2), v1.Len())
 	}
 }

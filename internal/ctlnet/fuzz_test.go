@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"testing"
+
+	"acorn/internal/wlan"
 )
 
 // acceptable classifies decoder errors a hostile peer may provoke: protocol
@@ -21,48 +23,11 @@ func acceptable(err error) bool {
 		errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// FuzzDecodeEnvelope fuzzes the v1 JSON line decoder: arbitrary bytes must
-// decode, hit errMalformed, or end in a transport error — never panic,
-// never succeed with a body-less envelope.
-func FuzzDecodeEnvelope(f *testing.F) {
-	seed := func(env *Envelope) []byte {
-		var buf bytes.Buffer
-		if err := writeMsg(&buf, env); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	f.Add(seed(&Envelope{Type: TypeHello, Hello: &Hello{APID: "ap-1", TxPowerDBm: 20}}))
-	f.Add(seed(&Envelope{Type: TypeReport, Report: &Report{APID: "ap-1", Seq: 3,
-		Clients: []ClientObs{{ClientID: "c0", SNR20dB: 25}}, Hears: []string{"ap-2"}}}))
-	f.Add(seed(&Envelope{Type: TypeAssign, Assign: &Assign{APID: "ap-1", WidthMHz: 40, Primary: 36, Secondary: 40}}))
-	f.Add(seed(&Envelope{Type: TypePing, Ping: &Heartbeat{Seq: 9}}))
-	f.Add(seed(&Envelope{Type: TypeFrame, Frame: &FrameInfo{V: FrameV2}}))
-	f.Add([]byte(`{"type":"hello"}` + "\n"))                  // type without body
-	f.Add([]byte(`{"type":"warp"}` + "\n"))                   // unknown type
-	f.Add([]byte(`{"type":` + "\n"))                          // broken JSON
-	f.Add([]byte("\n"))                                       // empty line
-	f.Add(bytes.Repeat([]byte("a"), 4096))                    // no newline at all
-	f.Add([]byte(`{"type":"pong","pong":{"seq":-1}}` + "\n")) // type confusion
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bufio.NewReader(bytes.NewReader(data))
-		for i := 0; i < 64; i++ {
-			env, err := readMsg(r)
-			if err != nil {
-				if !acceptable(err) {
-					t.Fatalf("unacceptable error: %v", err)
-				}
-				return
-			}
-			checkEnvelope(t, env)
-		}
-	})
-}
-
-// FuzzDecodeFrame fuzzes the mixed-framing reader (v2 frames and v1 lines
-// on one stream) with the same contract, plus io.ErrUnexpectedEOF for
-// frames whose header promises more payload than the stream holds.
+// FuzzDecodeFrame fuzzes the frame reader: arbitrary bytes must decode,
+// hit errMalformed, or end in a transport error (io.ErrUnexpectedEOF for a
+// frame whose header promises more payload than the stream holds) — never
+// panic, and never yield a message with a missing body or a float out of
+// range.
 func FuzzDecodeFrame(f *testing.F) {
 	frame := func(build func(e *frameEncoder)) []byte {
 		var e frameEncoder
@@ -75,8 +40,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		return append([]byte(nil), data...)
 	}
 	full := frame(func(e *frameEncoder) {
-		e.FrameAck(FrameV2)
-		e.Hello(&Hello{APID: "ap-1", TxPowerDBm: 20, Frame: FrameV2})
+		e.Hello(&Hello{APID: "ap-1", TxPowerDBm: 20})
 		e.Report(&Report{APID: "ap-1", Seq: 7,
 			Clients: []ClientObs{{ClientID: "c0", SNR20dB: 30}}, Hears: []string{"ap-2"}})
 		e.ReportSame(8)
@@ -92,27 +56,32 @@ func FuzzDecodeFrame(f *testing.F) {
 	verconf := append([]byte(nil), full...)
 	verconf[1] = 3 // version confusion
 	f.Add(verconf)
-	f.Add([]byte{frameMagic, FrameV2, 0xFF, 0xFF, 0xFF, 0xFF, 0}) // oversized length
-	f.Add([]byte{frameMagic, FrameV2, 0, 0, 0, 1, 99})            // unknown kind
-	f.Add(frame(func(e *frameEncoder) { e.uint(1 << 40) }))       // garbage body
-	f.Add(frame(func(e *frameEncoder) { e.ReportSame(3) }))       // report-same, no prior report
-	// A JSON line then a frame on the same stream.
+	f.Add([]byte{frameMagic, frameVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0}) // oversized length
+	f.Add([]byte{frameMagic, frameVersion, 0, 0, 0, 1, 99})            // unknown kind
+	f.Add(frame(func(e *frameEncoder) { e.uint(1 << 40) }))            // garbage body
+	f.Add(frame(func(e *frameEncoder) { e.ReportSame(3) }))            // report-same, no prior report
+	// A JSON line, as an old peer would send, then a frame: the decoder
+	// must stop at the line's first byte with errMalformed.
 	mixed := []byte(`{"type":"ping","ping":{"seq":4}}` + "\n")
 	f.Add(append(mixed, full...))
-	// Non-finite values: a NaN or ±Inf SNR or power must not decode.
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	// Out-of-range values: NaN, ±Inf or ±1e300 as an SNR or a power must
+	// not decode.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300} {
 		f.Add(frame(func(e *frameEncoder) {
 			e.Report(&Report{APID: "ap-1", Seq: 9,
 				Clients: []ClientObs{{ClientID: "c0", SNR20dB: 30}, {ClientID: "c1", SNR20dB: v}}})
 		}))
-		f.Add(frame(func(e *frameEncoder) { e.Hello(&Hello{APID: "ap-1", TxPowerDBm: v, Frame: FrameV2}) }))
+		f.Add(frame(func(e *frameEncoder) { e.Hello(&Hello{APID: "ap-1", TxPowerDBm: v}) }))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		dec := &frameDecoder{}
 		for i := 0; i < 64; i++ {
-			env, err := readMsgAny(r, dec)
+			env, err := readMsg(r, dec)
+			if i == 0 && len(data) > 0 && data[0] != frameMagic && !errors.Is(err, errMalformed) {
+				t.Fatalf("first byte 0x%02x not rejected: env %+v, err %v", data[0], env, err)
+			}
 			if err != nil {
 				if !acceptable(err) {
 					t.Fatalf("unacceptable error: %v", err)
@@ -125,13 +94,13 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // checkEnvelope asserts the decoder's invariant: a returned envelope has a
-// known type and the matching body present, and every float in it is
-// finite.
+// known type and the matching body present, and every float in it lies in
+// its field's range (which excludes NaN and ±Inf).
 func checkEnvelope(t *testing.T, env *Envelope) {
 	t.Helper()
-	finite := func(what string, v float64) {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("decoder accepted non-finite %s %v", what, v)
+	within := func(what string, v, lo, hi float64) {
+		if !(v >= lo && v <= hi) {
+			t.Fatalf("decoder accepted %s %v outside [%v, %v]", what, v, lo, hi)
 		}
 	}
 	ok := false
@@ -139,13 +108,13 @@ func checkEnvelope(t *testing.T, env *Envelope) {
 	case TypeHello:
 		ok = env.Hello != nil
 		if ok {
-			finite("tx power", env.Hello.TxPowerDBm)
+			within("tx power", env.Hello.TxPowerDBm, wlan.MinTxPowerDBm, wlan.MaxTxPowerDBm)
 		}
 	case TypeReport:
 		ok = env.Report != nil
 		if ok {
 			for _, c := range env.Report.Clients {
-				finite("client SNR", c.SNR20dB)
+				within("client SNR", c.SNR20dB, -maxSNRdB, maxSNRdB)
 			}
 		}
 	case TypeAssign:
@@ -156,8 +125,6 @@ func checkEnvelope(t *testing.T, env *Envelope) {
 		ok = env.Ping != nil
 	case TypePong:
 		ok = env.Pong != nil
-	case TypeFrame:
-		ok = env.Frame != nil
 	}
 	if !ok {
 		t.Fatalf("decoder accepted type %q with missing body", env.Type)

@@ -2,9 +2,8 @@ package ctlnet
 
 // outbox is the per-connection write side shared by server and agent. All
 // outbound traffic is enqueued into latest-wins slots and drained by an
-// on-demand writer goroutine into one batched write per wakeup — a v2
-// frame, or concatenated JSON lines for a v1 peer. The design kills two
-// fleet-scale problems at once:
+// on-demand writer goroutine into one frame per wakeup. The design kills
+// two fleet-scale problems at once:
 //
 //   - Slow-peer isolation: the enqueue path never blocks on the network.
 //     A peer that stops reading stalls only its own writer goroutine,
@@ -19,7 +18,6 @@ package ctlnet
 // the same semantics the old synchronous send path had.
 
 import (
-	"encoding/json"
 	"io"
 	"net"
 	"sync"
@@ -52,17 +50,15 @@ type outbox struct {
 	m            *outboxMetrics
 
 	// wmu serializes raw connection writes: the writer goroutine's batch
-	// writes and the synchronous terminal error line must never interleave
-	// bytes on the wire.
+	// writes and the synchronous terminal error frame must never
+	// interleave bytes on the wire.
 	wmu sync.Mutex
 
 	mu      sync.Mutex
-	v2      bool
 	running bool
 	dead    bool
 	err     error
 
-	sendAck  int // frame version to acknowledge; 0 none pending
 	pongs    []uint64
 	pings    []uint64
 	report   *Report // latest-wins pending report (agent side)
@@ -83,7 +79,7 @@ type outbox struct {
 	// that makes an unchanged fleet's re-confirmations nearly free. Only
 	// the writer goroutine touches it; a private copy so callers mutating
 	// a sent report's slices can't desync us from the peer's expansion
-	// base. v2 connections only — JSON peers always get the full report.
+	// base.
 	lastRep    Report
 	hasLastRep bool
 
@@ -92,19 +88,11 @@ type outbox struct {
 	sparePongs []uint64
 	sparePings []uint64
 
-	enc  frameEncoder
-	vbuf []byte // reused v1 JSON batch buffer
+	enc frameEncoder
 }
 
 func newOutbox(conn net.Conn, writeTimeout time.Duration, m *outboxMetrics) *outbox {
 	return &outbox{conn: conn, writeTimeout: writeTimeout, m: m}
-}
-
-// setV2 flips the write side to binary frames (agent side, on ack).
-func (o *outbox) setV2() {
-	o.mu.Lock()
-	o.v2 = true
-	o.mu.Unlock()
 }
 
 // Err returns the terminal write error, if any.
@@ -121,13 +109,6 @@ func (o *outbox) kick() {
 	}
 	o.running = true
 	go o.writer()
-}
-
-func (o *outbox) enqueueAck(v int) {
-	o.mu.Lock()
-	o.sendAck = v
-	o.kick()
-	o.mu.Unlock()
 }
 
 func (o *outbox) enqueuePong(seq uint64) {
@@ -205,27 +186,30 @@ func (o *outbox) enqueueAssign(a Assign, at time.Time) pushOutcome {
 	return pushEnqueued
 }
 
-// sendError writes a terminal v1 JSON error line, bypassing the batch
-// queue: the error must be readable by any peer (v2 readers handle both
-// framings) and must hit the wire before the caller drops the connection.
+// sendError writes a terminal error frame, bypassing the batch queue: it
+// must hit the wire before the caller drops the connection.
 func (o *outbox) sendError(reason string) {
 	o.wmu.Lock()
 	defer o.wmu.Unlock()
-	if o.writeTimeout > 0 {
-		_ = o.conn.SetWriteDeadline(time.Now().Add(o.writeTimeout))
-	}
-	_ = writeMsg(o.conn, &Envelope{Type: TypeError, Error: &Error{Reason: reason}})
+	_ = writeOne(o.conn, o.writeTimeout, func(e *frameEncoder) { e.Error(reason) })
 }
 
-// writeDirect writes one v1 JSON message synchronously (the agent's hello,
-// which always precedes negotiation).
-func (o *outbox) writeDirect(env *Envelope) error {
-	o.wmu.Lock()
-	defer o.wmu.Unlock()
-	if o.writeTimeout > 0 {
-		_ = o.conn.SetWriteDeadline(time.Now().Add(o.writeTimeout))
+// writeOne writes a frame holding the one message put encodes, under the
+// write deadline. It serves the writes that bypass an outbox's batches:
+// an agent's hello, which precedes every other byte, and error replies.
+func writeOne(conn net.Conn, writeTimeout time.Duration, put func(*frameEncoder)) error {
+	var e frameEncoder
+	e.begin()
+	put(&e)
+	data, err := e.finish()
+	if err != nil {
+		return err
 	}
-	return writeMsg(o.conn, env)
+	if writeTimeout > 0 {
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	}
+	_, err = conn.Write(data)
+	return err
 }
 
 // writer drains pending state into batched writes until the outbox is
@@ -263,8 +247,7 @@ func (o *outbox) writer() {
 
 // empty reports whether nothing is pending. Callers hold o.mu.
 func (o *outbox) empty() bool {
-	return o.sendAck == 0 && len(o.pongs) == 0 && len(o.pings) == 0 &&
-		o.report == nil && !o.hasAsg
+	return len(o.pongs) == 0 && len(o.pings) == 0 && o.report == nil && !o.hasAsg
 }
 
 // flush writes at most one batch, reporting whether anything was written.
@@ -279,8 +262,6 @@ func (o *outbox) flush() (bool, error) {
 		o.mu.Unlock()
 		return false, nil
 	}
-	ack := o.sendAck
-	o.sendAck = 0
 	pongs := o.pongs
 	o.pongs = o.sparePongs[:0]
 	o.sparePongs = nil
@@ -299,10 +280,9 @@ func (o *outbox) flush() (bool, error) {
 		o.lastPushed = o.assign
 		o.hasPushed = true
 	}
-	v2 := o.v2
 	o.mu.Unlock()
 
-	err := o.writeBatch(v2, ack, pongs, pings, rep, asg)
+	err := o.writeBatch(pongs, pings, rep, asg)
 	if err == nil && asg != nil && o.m.pushWin != nil && !asgAt.IsZero() {
 		o.m.pushWin.Observe(time.Since(asgAt).Seconds())
 	}
@@ -319,92 +299,40 @@ func (o *outbox) flush() (bool, error) {
 	return true, err
 }
 
-// writeBatch encodes one batch in the connection's framing and writes it
-// with a single conn.Write under the write deadline.
-func (o *outbox) writeBatch(v2 bool, ack int, pongs, pings []uint64, rep *Report, asg *Assign) error {
-	var data []byte
+// writeBatch encodes one batch as a frame and writes it with a single
+// conn.Write under the write deadline.
+func (o *outbox) writeBatch(pongs, pings []uint64, rep *Report, asg *Assign) error {
 	msgs := uint64(len(pongs) + len(pings))
-	if ack != 0 {
-		msgs++
+	o.enc.begin()
+	for _, s := range pongs {
+		o.enc.Pong(s)
+	}
+	for _, s := range pings {
+		o.enc.Ping(s)
 	}
 	if rep != nil {
 		msgs++
+		if o.hasLastRep && equalReportBody(rep, &o.lastRep) {
+			o.enc.ReportSame(rep.Seq)
+			if o.m.reportsSame != nil {
+				o.m.reportsSame.Inc()
+			}
+		} else {
+			o.enc.Report(rep)
+			o.lastRep.APID = rep.APID
+			o.lastRep.Seq = rep.Seq
+			o.lastRep.Clients = append(o.lastRep.Clients[:0], rep.Clients...)
+			o.lastRep.Hears = append(o.lastRep.Hears[:0], rep.Hears...)
+			o.hasLastRep = true
+		}
 	}
 	if asg != nil {
 		msgs++
+		o.enc.Assign(asg)
 	}
-	if v2 {
-		o.enc.begin()
-		if ack != 0 {
-			o.enc.FrameAck(ack)
-		}
-		for _, s := range pongs {
-			o.enc.Pong(s)
-		}
-		for _, s := range pings {
-			o.enc.Ping(s)
-		}
-		if rep != nil {
-			if o.hasLastRep && equalReportBody(rep, &o.lastRep) {
-				o.enc.ReportSame(rep.Seq)
-				if o.m.reportsSame != nil {
-					o.m.reportsSame.Inc()
-				}
-			} else {
-				o.enc.Report(rep)
-				o.lastRep.APID = rep.APID
-				o.lastRep.Seq = rep.Seq
-				o.lastRep.Clients = append(o.lastRep.Clients[:0], rep.Clients...)
-				o.lastRep.Hears = append(o.lastRep.Hears[:0], rep.Hears...)
-				o.hasLastRep = true
-			}
-		}
-		if asg != nil {
-			o.enc.Assign(asg)
-		}
-		var err error
-		data, err = o.enc.finish()
-		if err != nil {
-			return err
-		}
-	} else {
-		buf := o.vbuf[:0]
-		appendLine := func(env *Envelope) error {
-			b, err := json.Marshal(env)
-			if err != nil {
-				return err
-			}
-			buf = append(buf, b...)
-			buf = append(buf, '\n')
-			return nil
-		}
-		if ack != 0 {
-			if err := appendLine(&Envelope{Type: TypeFrame, Frame: &FrameInfo{V: ack}}); err != nil {
-				return err
-			}
-		}
-		for _, s := range pongs {
-			if err := appendLine(&Envelope{Type: TypePong, Pong: &Heartbeat{Seq: s}}); err != nil {
-				return err
-			}
-		}
-		for _, s := range pings {
-			if err := appendLine(&Envelope{Type: TypePing, Ping: &Heartbeat{Seq: s}}); err != nil {
-				return err
-			}
-		}
-		if rep != nil {
-			if err := appendLine(&Envelope{Type: TypeReport, Report: rep}); err != nil {
-				return err
-			}
-		}
-		if asg != nil {
-			if err := appendLine(&Envelope{Type: TypeAssign, Assign: asg}); err != nil {
-				return err
-			}
-		}
-		o.vbuf = buf
-		data = buf
+	data, err := o.enc.finish()
+	if err != nil {
+		return err
 	}
 	o.wmu.Lock()
 	defer o.wmu.Unlock()

@@ -4,22 +4,17 @@
 // the Controller runs Algorithm 2 over the reported view and pushes channel
 // assignments back.
 //
-// The protocol is newline-delimited JSON, one message per line, with a
-// type tag. It is deliberately simple — the interesting logic lives in the
-// algorithms; the wire layer's job is to be robust: bounded line lengths,
-// strict decoding, clean shutdown, and no trust in peer input.
+// The protocol is length-prefixed binary frames, each carrying a batch of
+// kind-tagged messages (frame.go). The interesting logic lives in the
+// algorithms; the wire layer's job is to be robust: bounded frames, strict
+// decoding with range-checked values, clean shutdown, and no trust in peer
+// input.
 package ctlnet
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 )
-
-// MaxLineBytes bounds a single protocol message.
-const MaxLineBytes = 1 << 20
 
 // Message types.
 const (
@@ -29,39 +24,22 @@ const (
 	TypeError  = "error"
 	TypePing   = "ping"
 	TypePong   = "pong"
-	// TypeFrame is the controller's framing acknowledgement: it is sent
-	// only to agents whose hello requested frame version 2 (a v1 peer
-	// would reject the unknown type), and tells the agent it may switch
-	// its own writes to binary frames.
-	TypeFrame = "frame"
 )
 
 // errMalformed tags protocol violations (as opposed to transport errors),
 // so endpoints can send a clean error reply before dropping the peer.
 var errMalformed = errors.New("malformed message")
 
-// errLineTooLong is returned before an oversized line is fully read, so a
-// hostile peer cannot make the endpoint buffer unbounded input.
-var errLineTooLong = fmt.Errorf("message exceeds %d bytes: %w", MaxLineBytes, errMalformed)
-
-// Envelope is the outer frame of every message.
+// Envelope is one decoded message: Type names it, and exactly one of the
+// bodies, matching Type, is set.
 type Envelope struct {
-	Type string `json:"type"`
-	// Exactly one of the following is set, matching Type.
-	Hello  *Hello     `json:"hello,omitempty"`
-	Report *Report    `json:"report,omitempty"`
-	Assign *Assign    `json:"assign,omitempty"`
-	Error  *Error     `json:"error,omitempty"`
-	Ping   *Heartbeat `json:"ping,omitempty"`
-	Pong   *Heartbeat `json:"pong,omitempty"`
-	Frame  *FrameInfo `json:"frame,omitempty"`
-}
-
-// FrameInfo is the body of the framing acknowledgement.
-type FrameInfo struct {
-	// V is the frame version the controller will accept and emit on this
-	// connection (currently always FrameV2).
-	V int `json:"v"`
+	Type   string
+	Hello  *Hello
+	Report *Report
+	Assign *Assign
+	Error  *Error
+	Ping   *Heartbeat
+	Pong   *Heartbeat
 }
 
 // Heartbeat is the body of ping and pong keepalives. A peer answers every
@@ -74,14 +52,9 @@ type Heartbeat struct {
 // Hello announces an AP to the controller.
 type Hello struct {
 	APID string `json:"apID"`
-	// TxPowerDBm is the AP's transmit power.
+	// TxPowerDBm is the AP's transmit power, within
+	// [wlan.MinTxPowerDBm, wlan.MaxTxPowerDBm].
 	TxPowerDBm float64 `json:"txPowerDBm"`
-	// Frame is the highest wire framing version the agent can read (see
-	// frame.go). Zero or FrameV1 keeps newline-delimited JSON; FrameV2
-	// asks the controller to switch the connection to batched binary
-	// frames. omitempty keeps the hello bit-for-bit identical for v1
-	// peers that never set it.
-	Frame int `json:"frame,omitempty"`
 }
 
 // ClientObs is one measured client link.
@@ -91,7 +64,8 @@ type ClientObs struct {
 	SNR20dB float64 `json:"snr20dB"`
 }
 
-// Report carries an AP's current measurements.
+// Report carries an AP's current measurements. Its JSON form is the
+// report file `acornctl agent -report` streams.
 type Report struct {
 	APID string `json:"apID"`
 	// Seq is a per-AP monotonic sequence number. The controller ignores a
@@ -120,83 +94,6 @@ type Assign struct {
 // Error reports a protocol failure to the peer before disconnecting.
 type Error struct {
 	Reason string `json:"reason"`
-}
-
-// writeMsg encodes one envelope as a JSON line.
-func writeMsg(w io.Writer, env *Envelope) error {
-	data, err := json.Marshal(env)
-	if err != nil {
-		return fmt.Errorf("ctlnet: encode: %w", err)
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// readLine reads up to and including the next newline, failing as soon as
-// the accumulated line exceeds MaxLineBytes rather than after buffering the
-// whole oversized message. The remainder of an oversized line is left
-// unconsumed; callers must drop the connection on errLineTooLong.
-func readLine(r *bufio.Reader) ([]byte, error) {
-	var line []byte
-	for {
-		frag, err := r.ReadSlice('\n')
-		line = append(line, frag...)
-		if len(line) > MaxLineBytes {
-			return nil, fmt.Errorf("ctlnet: %w", errLineTooLong)
-		}
-		if err == nil {
-			return line, nil
-		}
-		if err != bufio.ErrBufferFull {
-			return nil, err
-		}
-	}
-}
-
-// readMsg decodes the next JSON line, enforcing the size bound.
-func readMsg(r *bufio.Reader) (*Envelope, error) {
-	line, err := readLine(r)
-	if err != nil {
-		return nil, err
-	}
-	var env Envelope
-	if err := json.Unmarshal(line, &env); err != nil {
-		return nil, fmt.Errorf("ctlnet: decode: %v: %w", err, errMalformed)
-	}
-	switch env.Type {
-	case TypeHello:
-		if env.Hello == nil {
-			return nil, protoErrf("hello without body")
-		}
-	case TypeReport:
-		if env.Report == nil {
-			return nil, protoErrf("report without body")
-		}
-	case TypeAssign:
-		if env.Assign == nil {
-			return nil, protoErrf("assign without body")
-		}
-	case TypeError:
-		if env.Error == nil {
-			return nil, protoErrf("error without body")
-		}
-	case TypePing:
-		if env.Ping == nil {
-			return nil, protoErrf("ping without body")
-		}
-	case TypePong:
-		if env.Pong == nil {
-			return nil, protoErrf("pong without body")
-		}
-	case TypeFrame:
-		if env.Frame == nil {
-			return nil, protoErrf("frame without body")
-		}
-	default:
-		return nil, protoErrf("unknown message type %q", env.Type)
-	}
-	return &env, nil
 }
 
 // protoErrf builds a protocol-violation error tagged with errMalformed.

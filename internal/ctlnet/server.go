@@ -120,8 +120,8 @@ type Server struct {
 type serverMetrics struct {
 	reg             *obs.Registry
 	agentsConnected *obs.Gauge
-	agentConnected  *obs.GaugeVec
 	helloRejects    *obs.Counter
+	sessionRejects  *obs.Counter
 	heartbeats      *obs.Counter
 	reportsTotal    *obs.Counter
 	reportsStale    *obs.Counter
@@ -160,10 +160,10 @@ func (s *Server) m() *serverMetrics {
 			reg: reg,
 			agentsConnected: reg.Gauge("acorn_ctlnet_agents_connected",
 				"agent sessions currently established"),
-			agentConnected: reg.GaugeVec("acorn_ctlnet_agent_connected",
-				"per-AP session liveness (1 connected, 0 not)", "ap"),
 			helloRejects: reg.Counter("acorn_ctlnet_hello_rejects_total",
 				"connections rejected before or at hello"),
+			sessionRejects: reg.Counter("acorn_ctlnet_session_rejects_total",
+				"agent sessions dropped after hello for a malformed or unexpected message"),
 			heartbeats: reg.Counter("acorn_ctlnet_heartbeats_total",
 				"ping heartbeats received from agents"),
 			reportsTotal: reg.Counter("acorn_ctlnet_reports_total",
@@ -396,9 +396,8 @@ func (s *Server) handle(conn net.Conn, sh *shard) {
 	}
 	m := s.m()
 	r := bufio.NewReaderSize(&countingReader{r: conn, c: m.rxBytes}, 64<<10)
-	// The hello always arrives as a v1 JSON line — an agent cannot know
-	// the server speaks v2 before the ack.
-	env, err := readMsg(r)
+	dec := &frameDecoder{}
+	env, err := readMsg(r, dec)
 	if err != nil {
 		m.helloRejects.Inc()
 		if errors.Is(err, errMalformed) {
@@ -420,12 +419,6 @@ func (s *Server) handle(conn net.Conn, sh *shard) {
 		return
 	}
 	ob := newOutbox(conn, timeout(s.WriteTimeout, DefaultWriteTimeout), m.outm)
-	wantV2 := hello.Frame >= FrameV2
-	if wantV2 {
-		// The agent can read v2 frames from its first byte; everything we
-		// send it — starting with the ack itself — goes out framed.
-		ob.v2 = true
-	}
 	ac := &agentConn{conn: conn, ob: ob}
 	s.mu.Lock()
 	if s.closed {
@@ -442,11 +435,7 @@ func (s *Server) handle(conn net.Conn, sh *shard) {
 	s.hellos[hello.APID] = hello
 	s.mu.Unlock()
 	m.agentsConnected.Inc()
-	m.agentConnected.With(hello.APID).Set(1)
 	s.log().Info("agent connected", "ap", hello.APID, "addr", conn.RemoteAddr())
-	if wantV2 {
-		ob.enqueueAck(FrameV2)
-	}
 
 	// Only the live connection is forgotten on exit: the hello and last
 	// report stay behind as the AP's last-known-good view.
@@ -455,7 +444,6 @@ func (s *Server) handle(conn net.Conn, sh *shard) {
 		delete(s.agents, hello.APID)
 		s.mu.Unlock()
 		m.agentsConnected.Dec()
-		m.agentConnected.With(hello.APID).Set(0)
 		s.log().Info("agent disconnected", "ap", hello.APID)
 	}()
 
@@ -468,19 +456,20 @@ func (s *Server) handle(conn net.Conn, sh *shard) {
 		s.mu.Unlock()
 	}
 
-	var dec *frameDecoder
-	if wantV2 {
-		dec = &frameDecoder{}
+	// drop ends the session for peer misbehaviour after the hello.
+	drop := func(reason string) {
+		m.sessionRejects.Inc()
+		ob.sendError(reason)
 	}
 	peerTimeout := timeout(s.PeerTimeout, DefaultPeerTimeout)
 	for {
 		if peerTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(peerTimeout))
 		}
-		env, err := readMsgAny(r, dec)
+		env, err := readMsg(r, dec)
 		if err != nil {
 			if errors.Is(err, errMalformed) {
-				ob.sendError(err.Error())
+				drop(err.Error())
 			}
 			if !errors.Is(err, net.ErrClosed) {
 				s.log().Warn("agent session error", "ap", hello.APID, "err", err)
@@ -493,22 +482,20 @@ func (s *Server) handle(conn net.Conn, sh *shard) {
 			ob.enqueuePong(env.Ping.Seq)
 		case TypeReport:
 			if env.Report.APID != hello.APID {
-				ob.sendError("report for foreign AP id")
+				drop("report for foreign AP id")
 				return
 			}
 			sh.offer(hello.APID, *env.Report, time.Now())
 		default:
-			ob.sendError("unexpected message")
+			drop("unexpected message")
 			return
 		}
 	}
 }
 
+// reject answers a connection refused at its hello with an error frame.
 func (s *Server) reject(conn net.Conn, reason string) {
-	if d := timeout(s.WriteTimeout, DefaultWriteTimeout); d > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(d))
-	}
-	_ = writeMsg(conn, &Envelope{Type: TypeError, Error: &Error{Reason: reason}})
+	_ = writeOne(conn, timeout(s.WriteTimeout, DefaultWriteTimeout), func(e *frameEncoder) { e.Error(reason) })
 }
 
 // push enqueues an assignment to one agent's outbox. Delivery is

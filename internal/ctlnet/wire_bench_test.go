@@ -19,29 +19,25 @@ func (discardConn) SetDeadline(t time.Time) error      { return nil }
 func (discardConn) SetReadDeadline(t time.Time) error  { return nil }
 func (discardConn) SetWriteDeadline(t time.Time) error { return nil }
 
-// benchmarkServerPush measures one op = a 100-connection push wave:
-// enqueue an assignment into each connection's outbox and flush it in the
-// requested framing. running is pre-set so the enqueue never spawns the
-// writer goroutine — flush runs inline, keeping the measurement
-// deterministic. Assignments alternate so state dedup never elides the
-// write. The allocs_per_push_batch extra feeds `benchjson -derive`'s
-// v1/v2 alloc ratio, with the denominator floored at one alloc because a
-// v2 wave's steady state genuinely allocates nothing.
-func benchmarkServerPush(b *testing.B, v2 bool) {
+// pushWave returns one server push wave over a fixed set of connections:
+// enqueue an assignment into each connection's outbox and flush it. running
+// is pre-set so the enqueue never spawns the writer goroutine — flush runs
+// inline, keeping the measurement deterministic. Every wave alternates the
+// assignment (tracked here, not by the caller) so state dedup can never
+// elide a write. The first wave is run before returning, so buffers are
+// warm and the steady state is what gets measured.
+func pushWave(tb testing.TB) func() {
 	const conns = 100
 	m := &outboxMetrics{}
 	obs := make([]*outbox, conns)
 	for i := range obs {
 		obs[i] = newOutbox(discardConn{}, 0, m)
 		obs[i].running = true // suppress the writer goroutine; we flush inline
-		obs[i].v2 = v2
 	}
 	alt := [2]Assign{
 		{APID: "ap-0", WidthMHz: 20, Primary: 1},
 		{APID: "ap-0", WidthMHz: 40, Primary: 36, Secondary: 40},
 	}
-	// Every wave alternates the assignment (tracked here, not by the
-	// caller) so state dedup can never elide a write mid-measurement.
 	parity := 0
 	wave := func() {
 		a := alt[parity%2]
@@ -49,28 +45,35 @@ func benchmarkServerPush(b *testing.B, v2 bool) {
 		at := time.Now()
 		for _, ob := range obs {
 			if out := ob.enqueueAssign(a, at); out != pushEnqueued {
-				b.Fatalf("enqueue outcome %d", out)
+				tb.Fatalf("enqueue outcome %d", out)
 			}
 			if _, err := ob.flush(); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
-	wave() // warm up buffers so steady state is measured
+	wave()
+	return wave
+}
 
+// TestServerPushAllocFree pins the steady-state push path at zero
+// allocations per 100-connection wave.
+func TestServerPushAllocFree(t *testing.T) {
+	if got := testing.AllocsPerRun(50, pushWave(t)); got != 0 {
+		t.Fatalf("push wave allocates %v times, want 0", got)
+	}
+}
+
+// BenchmarkServerPushV2 measures one op = a 100-connection push wave, and
+// reports the wave's allocations as allocs_per_push_batch. The name keeps
+// the BENCH_fleet.json row from the days of two wire framings comparable.
+func BenchmarkServerPushV2(b *testing.B) {
+	wave := pushWave(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wave()
 	}
 	b.StopTimer()
-
-	perWave := testing.AllocsPerRun(50, wave)
-	if perWave < 1 {
-		perWave = 1
-	}
-	b.ReportMetric(perWave, "allocs_per_push_batch")
+	b.ReportMetric(testing.AllocsPerRun(50, wave), "allocs_per_push_batch")
 }
-
-func BenchmarkServerPushV1(b *testing.B) { benchmarkServerPush(b, false) }
-func BenchmarkServerPushV2(b *testing.B) { benchmarkServerPush(b, true) }

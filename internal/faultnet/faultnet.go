@@ -268,8 +268,8 @@ func (c *conn) Write(p []byte) (int, error) {
 	}
 	if len(p) > 1 && c.inj.roll(c.inj.cfg.ShortWriteProb) {
 		// A prefix goes out and the connection survives; the caller sees a
-		// short-write error and must resynchronize (for the newline-JSON
-		// protocol that means the peer reads a torn line).
+		// short-write error and must resynchronize (for a length-prefixed
+		// frame protocol that means the peer reads a torn frame).
 		c.inj.count(func(s *Stats) { s.ShortWrites++ })
 		n, err := c.Conn.Write(p[:1+c.inj.intn(len(p)-1)])
 		if err != nil {

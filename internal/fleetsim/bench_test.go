@@ -4,16 +4,12 @@ import (
 	"context"
 	"testing"
 	"time"
-
-	"acorn/internal/ctlnet"
 )
 
-// runWireProfile runs one fixed fleet profile under the given framing and
-// reports its bytes-on-wire so `benchjson -derive` can compute the v2/v1
-// wire ratio from the BenchmarkFleetWireV1/V2 pair. The profile is
-// identical on both sides — same seed, topology, cadence — so the byte
-// counts differ only by framing.
-func runWireProfile(b *testing.B, frame int) {
+// BenchmarkFleetWireV2 runs one fixed fleet profile (seed, topology and
+// cadence pinned) and reports its bytes on the wire. The name keeps the
+// BENCH_fleet.json row from the days of two wire framings comparable.
+func BenchmarkFleetWireV2(b *testing.B) {
 	agents := 300
 	if testing.Short() {
 		agents = 64
@@ -22,7 +18,6 @@ func runWireProfile(b *testing.B, frame int) {
 	for i := 0; i < b.N; i++ {
 		res, err := Run(context.Background(), Options{
 			Agents:         agents,
-			Frame:          frame,
 			Duration:       1500 * time.Millisecond,
 			ReportInterval: 200 * time.Millisecond,
 			Heartbeat:      300 * time.Millisecond,
@@ -38,9 +33,6 @@ func runWireProfile(b *testing.B, frame int) {
 		b.ReportMetric(res.ReportsPerSec, "reports_per_s")
 	}
 }
-
-func BenchmarkFleetWireV1(b *testing.B) { runWireProfile(b, ctlnet.FrameV1) }
-func BenchmarkFleetWireV2(b *testing.B) { runWireProfile(b, ctlnet.FrameV2) }
 
 // BenchmarkFleetConverge10k is the committed BENCH_fleet headline: a 10k-
 // agent in-process fleet boots, converges, and sustains a steady phase,

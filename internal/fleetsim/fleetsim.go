@@ -26,9 +26,6 @@ type Options struct {
 	// of this size (the interference graph is a disjoint union of
 	// cliques). Zero means 4.
 	ClusterSize int
-	// Frame is the framing version agents request (ctlnet.FrameV1 or
-	// FrameV2). Zero means FrameV2.
-	Frame int
 	// Shards is the server's accept/IO shard count. Zero means 4.
 	Shards int
 	// QueueCap bounds each shard's report queue. Zero sizes it to the
@@ -70,9 +67,6 @@ func (o Options) withDefaults() Options {
 	if o.ClusterSize <= 0 {
 		o.ClusterSize = 4
 	}
-	if o.Frame == 0 {
-		o.Frame = ctlnet.FrameV2
-	}
 	if o.Shards <= 0 {
 		o.Shards = 4
 	}
@@ -103,7 +97,6 @@ func (o Options) withDefaults() Options {
 // Result is what one fleet run measured.
 type Result struct {
 	Agents int `json:"agents"`
-	Frame  int `json:"frame"`
 
 	// Converged is true when, at the end of the run, every agent holds
 	// exactly the controller's stored assignment for its AP.
@@ -118,8 +111,8 @@ type Result struct {
 	// ReportsPerSec is the sustained apply rate over the steady phase.
 	ReportsApplied uint64  `json:"reports_applied"`
 	ReportsPerSec  float64 `json:"reports_per_sec"`
-	// ReportsSame counts unchanged reports the v2 agents collapsed to
-	// seq-only report-same frames (zero in a v1 fleet).
+	// ReportsSame counts unchanged reports the agents collapsed to
+	// seq-only report-same frames.
 	ReportsSame uint64 `json:"reports_same"`
 	// ShardCoalesced/ShardShed count reports absorbed latest-wins in
 	// shard queues and reports shed from a full queue (zero in a
@@ -255,7 +248,7 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 	}
 	defer closeFleet()
 
-	log.Info("booting fleet", "agents", o.Agents, "frame", o.Frame, "transport", o.Transport)
+	log.Info("booting fleet", "agents", o.Agents, "transport", o.Transport)
 	for i := range agents {
 		fa := &fleetAgent{idx: i, id: fmt.Sprintf("ap-%05d", i)}
 		fa.rep = buildReport(fa.id, i, o, rng)
@@ -264,7 +257,6 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 			Backoff: ctlnet.Backoff{Min: 25 * time.Millisecond, Max: time.Second},
 			Agent: ctlnet.AgentOptions{
 				HeartbeatInterval: o.Heartbeat,
-				Frame:             o.Frame,
 				ReadBufBytes:      4 << 10,
 				Obs:               reg,
 			},
@@ -303,7 +295,7 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 	// agent a fresh report so the view is fully sequenced before solving.
 	log.Info("fleet booted, reallocating")
 
-	res := &Result{Agents: o.Agents, Frame: o.Frame}
+	res := &Result{Agents: o.Agents}
 
 	// Initial convergence.
 	t0 := time.Now()

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"acorn/internal/ctlnet"
 )
 
 // waitGoroutines polls until the goroutine count returns to the bracket
@@ -28,7 +26,7 @@ func waitGoroutines(t *testing.T, before int) {
 	}
 }
 
-// TestFleetConverges is the smoke fleet: a few hundred v2 agents over the
+// TestFleetConverges is the smoke fleet: a few hundred agents over the
 // in-memory transport boot, report, and converge to the controller's
 // assignment table, with zero membership loss and zero shed reports. This
 // is the target `make fleet-bench-smoke` runs.
@@ -59,18 +57,15 @@ func TestFleetConverges(t *testing.T) {
 	if res.BytesOnWire == 0 {
 		t.Fatal("no bytes measured on the wire")
 	}
-	if res.Frame != ctlnet.FrameV2 {
-		t.Fatalf("frame = %d, want v2", res.Frame)
-	}
 	waitGoroutines(t, before)
 }
 
-// TestFleetConvergesV1TCP exercises the other corner: JSON framing over
-// real loopback TCP. Small, because each agent costs two file descriptors.
-func TestFleetConvergesV1TCP(t *testing.T) {
+// TestFleetConvergesTCP runs the fleet over real loopback TCP instead of
+// the in-memory transport. Small, because each agent costs two file
+// descriptors.
+func TestFleetConvergesTCP(t *testing.T) {
 	res, err := Run(context.Background(), Options{
 		Agents:         32,
-		Frame:          ctlnet.FrameV1,
 		Transport:      "tcp",
 		Duration:       300 * time.Millisecond,
 		ReportInterval: 150 * time.Millisecond,
@@ -79,7 +74,7 @@ func TestFleetConvergesV1TCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Converged {
-		t.Fatal("v1/tcp fleet did not converge")
+		t.Fatal("tcp fleet did not converge")
 	}
 	if res.MembershipLost != 0 {
 		t.Fatalf("controller lost %d memberships", res.MembershipLost)

@@ -76,8 +76,9 @@ func Parse(data []byte) (*wlan.Network, []*wlan.Client, error) {
 			return nil, nil, fmt.Errorf("topofile: duplicate AP id %q", a.ID)
 		}
 		apIDs[a.ID] = true
-		if a.TxPower < -10 || a.TxPower > 36 {
-			return nil, nil, fmt.Errorf("topofile: AP %s txPower %v dBm out of range [-10, 36]", a.ID, a.TxPower)
+		if a.TxPower < wlan.MinTxPowerDBm || a.TxPower > wlan.MaxTxPowerDBm {
+			return nil, nil, fmt.Errorf("topofile: AP %s txPower %v dBm out of range [%d, %d]",
+				a.ID, a.TxPower, wlan.MinTxPowerDBm, wlan.MaxTxPowerDBm)
 		}
 		aps = append(aps, &wlan.AP{
 			ID:      a.ID,

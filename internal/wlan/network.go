@@ -22,6 +22,14 @@ import (
 	"acorn/internal/units"
 )
 
+// MinTxPowerDBm and MaxTxPowerDBm bound a plausible AP transmit power.
+// Every input that declares one (a topology file, an agent's hello) is
+// checked against this range.
+const (
+	MinTxPowerDBm = -10
+	MaxTxPowerDBm = 36
+)
+
 // AP is an access point.
 type AP struct {
 	ID  string
