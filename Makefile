@@ -11,12 +11,12 @@ BUILD_DIR ?= build
 # build, or a fresh module fetch, in that order.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all fmt build vet staticcheck test race bench bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench fleet-bench-smoke stream-chaos obs-smoke cover experiments clean
+.PHONY: all fmt build vet staticcheck test race bench-check bench bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench fleet-bench-smoke stream-chaos obs-smoke cover experiments clean
 
 # The default check path race-checks everything: the control plane is
 # deliberately concurrent (heartbeats, reconnect supervisors, chaos tests),
 # so plain `make` must catch data races, not just failures.
-all: fmt build vet staticcheck test race bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench-smoke stream-chaos obs-smoke
+all: fmt build vet staticcheck test race bench-check bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench-smoke stream-chaos obs-smoke
 
 # Formatting gate: fails, listing the files, when gofmt would rewrite any
 # of the module's Go sources.
@@ -50,6 +50,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark (bench/) is its own module, so `go test ./...`
+# above never compiles it: vet and test it against this tree, so an
+# exported name it uses cannot disappear unnoticed.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Full benchmark harness: regenerates every paper artifact once and
 # measures each experiment, recording the trajectory in BENCH_phy.json and
@@ -198,7 +205,7 @@ fleet-bench-smoke:
 # ending the drain).
 stream-chaos:
 	$(GO) test -race -short -count=1 \
-		-run 'TestStreamChaosStorm|TestChaosConvergence|TestReconnectReplayStaysQuarantined|TestScopedPassIsolation|TestUnchangedReportsDoNotMark|TestUnchangedResendCommitsPendingSwitch|TestReallocateSerializesWithStreamPasses|TestStreamPassBatchesWhileBusy|TestFailedStreamPassEndsDrain' \
+		-run 'TestStreamChaosStorm|TestChaosConvergence|TestReconnectReplayStaysQuarantined|TestScopedPassIsolation|TestUnchangedReportsDoNotMark|TestUnchangedResendCommitsPendingSwitch|TestReallocateSerializesWithStreamPasses|TestStreamPassBatchesWhileBusy|TestSessionReportsCoalesceWhileBusy|TestFailedStreamPassEndsDrain' \
 		./internal/ctlnet/ > /dev/null
 
 # Boots acornd with -obs-addr and asserts /metrics and /healthz serve the

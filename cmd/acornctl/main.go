@@ -2,7 +2,6 @@
 //
 //	acornctl serve -addr :7431 [-period 30m] [-report-ttl 3h]
 //	              [-hello-timeout 10s] [-peer-timeout 90s]
-//	              [-server-shards 0] [-shard-queue 4096]
 //	              [-stream] [-stream-watchdog 0]
 //	              [-switch-margin 0.02] [-switch-streak 2]
 //	              [-switch-rate 12] [-switch-burst 3]
@@ -41,11 +40,11 @@
 //	    delays, corrupt bytes) and the agents reconnect through the
 //	    faults until the allocation converges anyway.
 //
-//	acornctl fleet [-agents 1000] [-server-shards 0]
+//	acornctl fleet [-agents 1000]
 //	              [-duration 3s] [-report-period 2s] [-heartbeat 5s]
 //	              [-churn 0.1] [-storm 0.1] [-transport pipe] [-json]
 //	    Boot an in-process fleet of reconnecting agents against a real
-//	    sharded controller and measure the control plane at scale:
+//	    controller and measure the control plane at scale:
 //	    convergence time, sustained report rate, push tail latency,
 //	    bytes on the wire, and recovery from connection churn and
 //	    report storms. The default pipe transport needs no file
@@ -149,10 +148,6 @@ func serve(args []string) {
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /healthz, /debug/vars and pprof on this address")
 	allocWorkers := fs.Int("alloc-workers", 0, "parallel rank-evaluation workers for Algorithm 2 (0 = GOMAXPROCS)")
 	shardWorkers := fs.Int("shard-workers", 0, "component-sharded Algorithm 2: solve independent contention components on this many workers (0 = off)")
-	serverShards := fs.Int("server-shards", 0, "inbound accept/IO shards feeding the controller through bounded queues (0 = min(8, GOMAXPROCS))")
-	shardQueue := fs.Int("shard-queue", 0, "per-shard report queue capacity; a full queue sheds oldest-first (0 = default 4096)")
-	spatialIndex := fs.Bool("spatial-index", true, "prune the contention-graph pair scan with the uniform-grid spatial index (exact — the graph is bit-identical; false forces the full O(P²) scan)")
-	gridCellM := fs.Float64("grid-cell-m", 0, "spatial-index grid cell size in meters (0 = the carrier-sense cutoff radius)")
 	stream := fs.Bool("stream", false, "event-driven mode: on every report that changes an AP's measurements, reallocate the hear-graph components of its neighbourhood at once instead of waiting for -period (reports arriving during a pass batch into the next)")
 	streamWatchdog := fs.Duration("stream-watchdog", 0, "max age of the last full pass before the stream forces one (with -stream; 0 = -period, negative disables)")
 	switchMargin := fs.Float64("switch-margin", core.DefaultGateMargin, "hysteresis: minimum relative goodput gain a channel switch must offer (with -stream; negative disables)")
@@ -198,9 +193,6 @@ func serve(args []string) {
 	}
 	s.Alloc.Workers = *allocWorkers
 	s.Alloc.ShardWorkers = *shardWorkers
-	s.Alloc.NoSpatialIndex = !*spatialIndex
-	s.Alloc.GridCellM = *gridCellM
-	s.Shards = ctlnet.ShardConfig{N: *serverShards, QueueCap: *shardQueue}
 	s.ReportTTL = *reportTTL
 	s.HelloTimeout = *helloTimeout
 	s.PeerTimeout = *peerTimeout

@@ -20,8 +20,8 @@ package core
 //
 // The prune degrades to the exact full scan whenever no sound cutoff
 // exists: a ContendOverride (arbitrary predicate, no geometry), a
-// non-invertible propagation model, a non-finite cutoff, or an explicit
-// opt-out (AllocOptions.NoSpatialIndex).
+// non-invertible propagation model, a non-finite cutoff, or the full-scan
+// reference build that only tests ask for (AllocOptions.noSpatialIndex).
 
 import (
 	"math"
@@ -37,7 +37,7 @@ import (
 // pair count. ok=false means no sound cutoff exists and the caller must run
 // the full scan.
 func spatialCandidates(n *wlan.Network, popIdx []int, clientsOf [][]*wlan.Client, opts AllocOptions) (rows [][]int32, scanned int, ok bool) {
-	if opts.NoSpatialIndex || n.ContendOverride != nil || len(popIdx) < 2 {
+	if opts.noSpatialIndex || n.ContendOverride != nil || len(popIdx) < 2 {
 		return nil, 0, false
 	}
 	maxTx := n.APs[popIdx[0]].TxPower
@@ -50,7 +50,7 @@ func spatialCandidates(n *wlan.Network, popIdx []int, clientsOf [][]*wlan.Client
 	if !invertible || math.IsInf(cutoff, 1) || math.IsNaN(cutoff) {
 		return nil, 0, false
 	}
-	cell := opts.GridCellM
+	cell := opts.gridCellM
 	if cell <= 0 {
 		cell = cutoff
 	}

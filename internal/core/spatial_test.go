@@ -96,7 +96,7 @@ func geomSetup(t *testing.T, layout string, nAP, clientsPer int, seed int64) (*w
 
 // TestSpatialGraphEquivalence pins the tentpole contract: for every layout,
 // the spatial-index build's neighbor lists, component partition, and
-// allocState adjacency are identical to the NoSpatialIndex full scan, for
+// allocState adjacency are identical to the noSpatialIndex full scan, for
 // every worker count, and the pair-scan accounting is conserved
 // (scanned + pruned = P·(P−1)/2).
 func TestSpatialGraphEquivalence(t *testing.T) {
@@ -105,9 +105,9 @@ func TestSpatialGraphEquivalence(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", layout, seed), func(t *testing.T) {
 				n, cfg := geomSetup(t, layout, 60, 2, seed)
-				ref := buildConflictGraph(n, cfg, 1, AllocOptions{NoSpatialIndex: true})
+				ref := buildConflictGraph(n, cfg, 1, AllocOptions{noSpatialIndex: true})
 				if ref.spatial {
-					t.Fatal("NoSpatialIndex build claims spatial")
+					t.Fatal("noSpatialIndex build claims spatial")
 				}
 				for _, workers := range []int{1, 2, 8} {
 					g := buildConflictGraph(n, cfg, workers, AllocOptions{})
@@ -126,7 +126,7 @@ func TestSpatialGraphEquivalence(t *testing.T) {
 					}
 				}
 
-				stRef := newAllocState(n, cfg, NewEstimator(n), AllocOptions{NoSpatialIndex: true})
+				stRef := newAllocState(n, cfg, NewEstimator(n), AllocOptions{noSpatialIndex: true})
 				st := newAllocState(n, cfg, NewEstimator(n), AllocOptions{})
 				if !st.spatial {
 					t.Fatal("allocState spatial path did not engage")
@@ -146,9 +146,9 @@ func TestSpatialGraphEquivalence(t *testing.T) {
 // nothing but the bucketing: results stay identical to the full scan.
 func TestSpatialGridCellOverride(t *testing.T) {
 	n, cfg := geomSetup(t, "uniform", 50, 2, 9)
-	ref := buildConflictGraph(n, cfg, 1, AllocOptions{NoSpatialIndex: true})
+	ref := buildConflictGraph(n, cfg, 1, AllocOptions{noSpatialIndex: true})
 	for _, cell := range []float64{7, 150, 1e6} {
-		g := buildConflictGraph(n, cfg, 1, AllocOptions{GridCellM: cell})
+		g := buildConflictGraph(n, cfg, 1, AllocOptions{gridCellM: cell})
 		if !g.spatial {
 			t.Fatalf("cell=%g: spatial path did not engage", cell)
 		}
@@ -169,7 +169,7 @@ func TestSpatialOverrideDispatch(t *testing.T) {
 		t.Fatal("spatialCandidates accepted an overridden network")
 	}
 	g := buildConflictGraph(n, cfg, 2, AllocOptions{})
-	ref := buildConflictGraph(n, cfg, 1, AllocOptions{NoSpatialIndex: true})
+	ref := buildConflictGraph(n, cfg, 1, AllocOptions{noSpatialIndex: true})
 	if g.spatial {
 		t.Fatal("spatial path engaged under a contention override")
 	}
@@ -195,7 +195,7 @@ func TestSpatialNoInvertibleBound(t *testing.T) {
 	if g.spatial {
 		t.Fatal("spatial path engaged without an invertible propagation bound")
 	}
-	ref := buildConflictGraph(n, cfg, 1, AllocOptions{NoSpatialIndex: true})
+	ref := buildConflictGraph(n, cfg, 1, AllocOptions{noSpatialIndex: true})
 	if !reflect.DeepEqual(g.neighbors, ref.neighbors) {
 		t.Fatal("degenerate-model build diverges")
 	}
@@ -203,7 +203,7 @@ func TestSpatialNoInvertibleBound(t *testing.T) {
 
 // partitionOracle rebuilds components from scratch off the live (n, cfg).
 func partitionOracle(n *wlan.Network, cfg *wlan.Config) [][]int32 {
-	return buildConflictGraph(n, cfg, 1, AllocOptions{NoSpatialIndex: true}).comps
+	return buildConflictGraph(n, cfg, 1, AllocOptions{noSpatialIndex: true}).comps
 }
 
 // TestPartitionTracksChurn drives the association engine through every

@@ -61,7 +61,7 @@ func TestUpdatesCoalesceLatestWins(t *testing.T) {
 // view backwards when an old report (e.g. a delayed duplicate) arrives
 // after a newer one.
 func TestServerIgnoresStaleSeq(t *testing.T) {
-	s, addr := startServer(t)
+	s, addr := streamServer(t, StreamConfig{}, nil, nil)
 	a, err := Dial(addr, Hello{APID: "AP1", TxPowerDBm: 18})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestServerIgnoresStaleSeq(t *testing.T) {
 	if err := a.SendReport(stale); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	waitCounter(t, s.Obs, "acorn_ctlnet_reports_stale_total", 1)
 	s.mu.Lock()
 	got := s.reports["AP1"].rep
 	s.mu.Unlock()

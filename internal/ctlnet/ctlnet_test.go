@@ -234,9 +234,7 @@ func TestMalformedPeerHandled(t *testing.T) {
 // labelled series).
 func TestMetricSeriesBounded(t *testing.T) {
 	series := func(n int) int {
-		s, addr := streamServer(t, StreamConfig{}, nil, func(s *Server) {
-			s.Shards = ShardConfig{N: 1} // per-shard series stay at one shard
-		})
+		s, addr := streamServer(t, StreamConfig{}, nil, nil)
 		agentReg := obs.NewRegistry()
 		for i := 0; i < n; i++ {
 			a, err := DialOpts(addr, Hello{APID: fmt.Sprintf("AP%02d", i), TxPowerDBm: 18}, AgentOptions{Obs: agentReg})
@@ -284,6 +282,45 @@ func TestAgentRequiresID(t *testing.T) {
 	defer c2.Close()
 	if _, err := NewAgent(c1, Hello{}); err == nil {
 		t.Error("empty AP id accepted")
+	}
+}
+
+// TestCleanDisconnectLogsNoWarning: an agent that says hello and then
+// closes ends its session between frames. The server logs the disconnect
+// at info and logs no warning.
+func TestCleanDisconnectLogsNoWarning(t *testing.T) {
+	s, addr, logs := quarantineServer(t, 0)
+	a, err := Dial(addr, Hello{APID: "AP1", TxPowerDBm: 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitConnected(t, s, "AP1", true)
+	a.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(logs(), "INFO  agent disconnected ap=AP1") {
+		if time.Now().After(deadline) {
+			t.Fatalf("no disconnect line in the log:\n%s", logs())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if strings.Contains(logs(), "WARN") {
+		t.Fatalf("a clean disconnect logged a warning:\n%s", logs())
+	}
+}
+
+// waitCounter polls until the named counter in reg reaches want.
+func waitCounter(t *testing.T, reg *obs.Registry, name string, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := counterValue(reg, name)
+		if got >= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -24,11 +24,11 @@ func sayHello(s *Server, ids ...string) {
 	}
 }
 
-// applyReport feeds one report through the shard apply path.
+// applyReport feeds one report through the session's apply path.
 func applyReport(s *Server, apID string, seq uint64, rep Report, recv time.Time) {
 	rep.APID = apID
 	rep.Seq = seq
-	s.applyReports([]reportEvent{{apID: apID, rep: rep, recv: recv}})
+	s.applyReport(apID, rep, recv)
 }
 
 // captureAgent registers a session for apID whose outbox never starts its
@@ -582,7 +582,6 @@ func cliqueFleet(s *Server, n int) ([]string, []Report) {
 	}
 	sayHello(s, ids...)
 	reps := make([]Report, n)
-	batch := make([]reportEvent, n)
 	now := time.Now()
 	for i, id := range ids {
 		var hears []string
@@ -593,10 +592,8 @@ func cliqueFleet(s *Server, n int) ([]string, []Report) {
 		}
 		reps[i] = report(hears, 30, 28)
 		reps[i].APID = id
-		batch[i] = reportEvent{apID: id, rep: reps[i], recv: now}
-		batch[i].rep.Seq = 1
+		applyReport(s, id, 1, reps[i], now)
 	}
-	s.applyReports(batch)
 	return ids, reps
 }
 
@@ -638,7 +635,7 @@ func benchmarkStreamPassScoped(b *testing.B, n int) {
 			seq++
 		}
 		rep.Seq = seq
-		s.applyReports([]reportEvent{{apID: ids[i], rep: rep, recv: time.Now()}})
+		s.applyReport(ids[i], rep, time.Now())
 		s.streamPass()
 	}
 }

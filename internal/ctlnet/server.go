@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -79,14 +81,8 @@ type Server struct {
 	// mark their AP dirty and a consumer goroutine runs gated,
 	// neighbourhood-restricted passes (see stream.go). Set before Serve.
 	Stream StreamConfig
-	// Shards sizes the inbound accept/IO sharding (see shard.go). The
-	// zero value picks min(8, GOMAXPROCS) shards with default queues.
-	// Set before Serve.
-	Shards ShardConfig
 
-	stream    streamState
-	shardSet  []*shard
-	shardStop chan struct{}
+	stream streamState
 
 	// passMu serializes reallocation passes, so a full pass and a stream
 	// pass never interleave their snapshot → install → push.
@@ -141,11 +137,6 @@ type serverMetrics struct {
 	reallocSeconds  *obs.Histogram
 	cells20         *obs.Gauge
 	cells40         *obs.Gauge
-
-	shardReports   *obs.CounterVec
-	shardCoalesced *obs.CounterVec
-	shardShed      *obs.CounterVec
-	shardBatches   *obs.CounterVec
 
 	rxBytes *obs.Counter
 	pushWin *obs.Window
@@ -203,14 +194,6 @@ func (s *Server) m() *serverMetrics {
 			// server overwrites them with the whole table after every pass.
 			cells20: reg.Gauge("acorn_core_cells_20mhz", "cells on a 20 MHz channel"),
 			cells40: reg.Gauge("acorn_core_cells_40mhz", "cells on a bonded 40 MHz channel"),
-			shardReports: reg.CounterVec("acorn_ctlnet_shard_reports_total",
-				"reports entering each inbound shard queue", "shard"),
-			shardCoalesced: reg.CounterVec("acorn_ctlnet_shard_reports_coalesced_total",
-				"reports coalesced latest-wins in a shard queue before apply", "shard"),
-			shardShed: reg.CounterVec("acorn_ctlnet_shard_reports_shed_total",
-				"reports shed oldest-first from a full shard queue", "shard"),
-			shardBatches: reg.CounterVec("acorn_ctlnet_shard_batches_total",
-				"report batches each shard pump applied to the controller", "shard"),
 			rxBytes: reg.Counter("acorn_ctlnet_server_rx_bytes_total",
 				"bytes read from agent connections"),
 			pushWin: obs.NewWindow(15*time.Minute, 15, nil, nil),
@@ -324,29 +307,12 @@ func (s *Server) stormLogger() *obs.Logger {
 }
 
 // Serve accepts connections on l until the listener is closed. It returns
-// the listener's terminal error (net.ErrClosed after Close). Connections
-// are spread over the configured accept/IO shards: shard 0's accept loop
-// runs on the calling goroutine, the rest run concurrently against the
-// same listener.
+// the listener's terminal error (net.ErrClosed after Close).
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	s.listener = l
 	s.mu.Unlock()
 	s.startStream()
-	shards := s.startShards()
-	for _, sh := range shards[1:] {
-		sh := sh
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.acceptLoop(l, sh)
-		}()
-	}
-	return s.acceptLoop(l, shards[0])
-}
-
-// acceptLoop accepts connections for one shard until the listener fails.
-func (s *Server) acceptLoop(l net.Listener, sh *shard) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -355,7 +321,7 @@ func (s *Server) acceptLoop(l net.Listener, sh *shard) error {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.handle(conn, sh)
+			s.handle(conn)
 		}()
 	}
 }
@@ -372,7 +338,6 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.stopStream()
-	s.stopShards()
 	var err error
 	if l != nil {
 		err = l.Close()
@@ -386,10 +351,11 @@ func (s *Server) Close() error {
 
 // handle runs one agent session: hello, then a stream of reports and pings.
 // Every accepted connection gets a read deadline before the first byte is
-// read, so a mute client cannot pin this goroutine. Reports are handed to
-// the session's shard queue (applied asynchronously by the shard pump);
-// all outbound traffic goes through the per-connection outbox.
-func (s *Server) handle(conn net.Conn, sh *shard) {
+// read, so a mute client cannot pin this goroutine. The session applies
+// each report itself (applyReport), so a busy controller makes the sender
+// wait instead of queueing its reports; all outbound traffic goes through
+// the per-connection outbox.
+func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	if d := timeout(s.HelloTimeout, DefaultHelloTimeout); d > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(d))
@@ -471,7 +437,9 @@ func (s *Server) handle(conn net.Conn, sh *shard) {
 			if errors.Is(err, errMalformed) {
 				drop(err.Error())
 			}
-			if !errors.Is(err, net.ErrClosed) {
+			// A close between frames (io.EOF) is a normal end, logged by
+			// the deferred disconnect line.
+			if !errors.Is(err, net.ErrClosed) && err != io.EOF {
 				s.log().Warn("agent session error", "ap", hello.APID, "err", err)
 			}
 			return
@@ -485,12 +453,65 @@ func (s *Server) handle(conn net.Conn, sh *shard) {
 				drop("report for foreign AP id")
 				return
 			}
-			sh.offer(hello.APID, *env.Report, time.Now())
+			s.applyReport(hello.APID, *env.Report, time.Now())
 		default:
 			drop("unexpected message")
 			return
 		}
 	}
+}
+
+// applyReport installs one report into the controller's report table,
+// keeping the per-AP sequence discipline: an out-of-order report is
+// dropped as stale, an equal sequence is a reconnect replay that keeps the
+// stored receive time (no TTL laundering), and a fresh report marks its AP
+// dirty in stream mode. A fresh report whose measurements equal the stored
+// ones refreshes the stored sequence and receive time but marks its AP
+// only while the AP has no assignment yet or the switch gate holds a
+// pending proposal for it, which the re-send's pass may then commit.
+func (s *Server) applyReport(apID string, rep Report, recv time.Time) {
+	m := s.m()
+	var gate *core.SwitchGate
+	if s.Stream.Enabled {
+		s.stream.mu.Lock()
+		gate = s.stream.gate
+		s.stream.mu.Unlock()
+	}
+	s.mu.Lock()
+	prev, had := s.reports[apID]
+	if had && rep.Seq != 0 && rep.Seq < prev.rep.Seq {
+		s.mu.Unlock()
+		m.reportsStale.Inc()
+		s.stormLogger().Warn("ignoring stale report", "ap", apID, "seq", rep.Seq, "stored", prev.rep.Seq)
+		return
+	}
+	replay := had && rep.Seq != 0 && rep.Seq == prev.rep.Seq
+	if replay {
+		recv = prev.recv
+	}
+	if !had || !slices.Equal(prev.rep.Hears, rep.Hears) {
+		if had {
+			s.hears.link(apID, prev.rep.Hears, -1)
+		}
+		s.hears.link(apID, rep.Hears, 1)
+	}
+	s.reports[apID] = storedReport{rep: rep, recv: recv}
+	mark := false
+	switch {
+	case replay:
+		m.reportsReplayed.Inc()
+	case had && equalReportBody(&prev.rep, &rep):
+		m.reportsNoop.Inc()
+		_, assigned := s.assign[apID]
+		mark = s.Stream.Enabled && (!assigned || (gate != nil && gate.Pending(apID)))
+	default:
+		mark = s.Stream.Enabled
+	}
+	s.mu.Unlock()
+	if mark {
+		s.markDirty(apID, recv)
+	}
+	m.reportsTotal.Inc() // last, so the count covers the mark
 }
 
 // reject answers a connection refused at its hello with an error frame.

@@ -122,28 +122,23 @@ func (s *Server) stopStream() {
 	}
 }
 
-// markDirty records that a batch of APs changed, under one lock
-// acquisition, and wakes the consumer once. Each mark's time is its
-// report's receipt; the oldest one in the dirty set becomes the origin of
-// the next pass's span, so the wait for the pass in flight is attributed.
-func (s *Server) markDirty(marks []dirtyMark) {
-	if len(marks) == 0 {
-		return
-	}
+// markDirty records that an AP changed and wakes the consumer. The mark's
+// time is its report's receipt; the oldest one in the dirty set becomes
+// the origin of the next pass's span, so the wait for the pass in flight
+// is attributed.
+func (s *Server) markDirty(ap string, at time.Time) {
 	st := &s.stream
 	st.mu.Lock()
 	if st.dirty == nil {
 		st.dirty = make(map[string]bool)
 	}
-	for _, d := range marks {
-		st.marks++
-		if st.dirty[d.ap] {
-			st.coalesced++
-		}
-		st.dirty[d.ap] = true
-		if st.earliest.IsZero() || d.at.Before(st.earliest) {
-			st.earliest = d.at
-		}
+	st.marks++
+	if st.dirty[ap] {
+		st.coalesced++
+	}
+	st.dirty[ap] = true
+	if st.earliest.IsZero() || at.Before(st.earliest) {
+		st.earliest = at
 	}
 	wake := st.wake
 	s.m().streamDirty.Set(float64(len(st.dirty)))
@@ -213,7 +208,7 @@ func (s *Server) hearNeighbourhood(dirty map[string]bool) map[string]bool {
 
 // hearGraph is the reported hear-graph as a symmetric adjacency: edge
 // {a, b} counts every mention of b in a's stored report and of a in b's, so
-// it lasts while either report lists the other. applyReports keeps it in
+// it lasts while either report lists the other. applyReport keeps it in
 // step with the report table; queries filter it against known hellos, as
 // buildView does.
 type hearGraph map[string]map[string]int

@@ -265,6 +265,83 @@ func TestStreamPassBatchesWhileBusy(t *testing.T) {
 	}
 }
 
+// TestSessionReportsCoalesceWhileBusy drives the ingest over the wire. The
+// consumer waits on the pass mutex behind a first mark while a Dial'ed
+// agent sends k changed reports. Its session applies each one and marks
+// the AP, and the marks coalesce latest-wins into one dirty entry, so a
+// single pass covers the AP once the mutex is released.
+func TestSessionReportsCoalesceWhileBusy(t *testing.T) {
+	const k = 5
+	s, addr := streamServer(t, StreamConfig{Enabled: true, WatchdogPeriod: -1}, nil, nil)
+	s.passMu.Lock()
+	unlock := sync.OnceFunc(s.passMu.Unlock) // a failed check must not strand the consumer
+	defer unlock()
+
+	first, err := Dial(addr, Hello{APID: "a", TxPowerDBm: 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	if err := first.SendReport(report(nil, 25)); err != nil {
+		t.Fatal(err)
+	}
+	before := waitStream(t, s, "the consumer taking the first mark", func(st ServerStreamStats) bool {
+		return st.Marks == 1 && st.DirtyDepth == 0
+	})
+
+	x, err := Dial(addr, Hello{APID: "x", TxPowerDBm: 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	applied := counterValue(s.Obs, "acorn_ctlnet_reports_total")
+	var last Report
+	for i := 1; i <= k; i++ {
+		last = report(nil, 20+float64(i))
+		if err := x.SendReport(last); err != nil {
+			t.Fatal(err)
+		}
+		// The agent's outbox also coalesces latest-wins: wait for the
+		// session to apply (and mark) each report so all k reach the server.
+		waitCounter(t, s.Obs, "acorn_ctlnet_reports_total", applied+uint64(i))
+	}
+	if got := counterValue(s.Obs, "acorn_ctlnet_reports_total") - applied; got != k {
+		t.Fatalf("reports_total rose by %d, want %d", got, k)
+	}
+	busy := s.StreamStats()
+	if got := busy.Marks - before.Marks; got != k {
+		t.Fatalf("marks rose by %d while busy, want %d: %+v", got, k, busy)
+	}
+	if got := busy.Coalesced - before.Coalesced; got != k-1 {
+		t.Fatalf("coalesced rose by %d while busy, want %d: %+v", got, k-1, busy)
+	}
+	if busy.DirtyDepth != 1 {
+		t.Fatalf("dirty depth %d while busy, want 1 (x)", busy.DirtyDepth)
+	}
+	s.mu.Lock()
+	stored := s.reports["x"].rep
+	s.mu.Unlock()
+	if stored.Seq != k || stored.Clients[0].SNR20dB != last.Clients[0].SNR20dB {
+		t.Fatalf("stored report %+v, want the %d-th (SNR %v)", stored, k, last.Clients[0].SNR20dB)
+	}
+
+	unlock()
+	after := waitStream(t, s, "the held pass and the queued one", func(st ServerStreamStats) bool {
+		return st.Passes >= before.Passes+2 && st.DirtyDepth == 0
+	})
+	// The held pass is scoped to a alone (it hears no one), so the second
+	// pass is the only one that covers x.
+	if got := after.Passes - before.Passes; got != 2 {
+		t.Fatalf("passes rose by %d, want 2 (a's held pass, then one for x's %d reports)", got, k)
+	}
+	if after.Failed != 0 {
+		t.Fatalf("%d passes failed", after.Failed)
+	}
+	if ch := waitAssign(t, x); ch != s.Assignments()["x"] {
+		t.Fatalf("x holds %v, the table says %v", ch, s.Assignments()["x"])
+	}
+}
+
 // TestFailedStreamPassEndsDrain: a pass that fails (here: its only report
 // is past the TTL) requeues its AP with the original receipt stamp and
 // ends the drain instead of retrying in a hot loop; the next mark retries

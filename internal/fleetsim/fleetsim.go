@@ -26,11 +26,6 @@ type Options struct {
 	// of this size (the interference graph is a disjoint union of
 	// cliques). Zero means 4.
 	ClusterSize int
-	// Shards is the server's accept/IO shard count. Zero means 4.
-	Shards int
-	// QueueCap bounds each shard's report queue. Zero sizes it to the
-	// fleet (Agents + slack) so a full-fleet report burst sheds nothing.
-	QueueCap int
 	// Transport is "pipe" (in-memory, default — 10k+ agents need no file
 	// descriptors) or "tcp" (loopback, end-to-end).
 	Transport string
@@ -66,12 +61,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ClusterSize <= 0 {
 		o.ClusterSize = 4
-	}
-	if o.Shards <= 0 {
-		o.Shards = 4
-	}
-	if o.QueueCap <= 0 {
-		o.QueueCap = o.Agents + 1024
 	}
 	if o.Transport == "" {
 		o.Transport = "pipe"
@@ -114,11 +103,6 @@ type Result struct {
 	// ReportsSame counts unchanged reports the agents collapsed to
 	// seq-only report-same frames.
 	ReportsSame uint64 `json:"reports_same"`
-	// ShardCoalesced/ShardShed count reports absorbed latest-wins in
-	// shard queues and reports shed from a full queue (zero in a
-	// well-sized run).
-	ShardCoalesced uint64 `json:"shard_coalesced"`
-	ShardShed      uint64 `json:"shard_shed"`
 
 	PushesEnqueued uint64 `json:"pushes_enqueued"`
 	PushesDeduped  uint64 `json:"pushes_deduped"`
@@ -193,7 +177,6 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 	srv := ctlnet.NewServer(o.Seed)
 	srv.Obs = reg
 	srv.Tracer = tracer
-	srv.Shards = ctlnet.ShardConfig{N: o.Shards, QueueCap: o.QueueCap}
 
 	var ln net.Listener
 	var baseDial func(ctx context.Context, addr string) (net.Conn, error)
@@ -407,8 +390,6 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 	if steady := res.ReportsApplied - appliedBefore; res.SteadyDuration > 0 {
 		res.ReportsPerSec = float64(steady) / res.SteadyDuration.Seconds()
 	}
-	res.ShardCoalesced = sumSeries(reg, "acorn_ctlnet_shard_reports_coalesced_total")
-	res.ShardShed = sumSeries(reg, "acorn_ctlnet_shard_reports_shed_total")
 	res.ReportsSame = counterVal(reg, "acorn_ctlnet_agent_reports_same_total")
 	res.PushesEnqueued = counterVal(reg, "acorn_ctlnet_assignment_pushes_total")
 	res.PushesDeduped = counterVal(reg, "acorn_ctlnet_pushes_deduped_total")
@@ -494,20 +475,6 @@ func counterVal(reg *obs.Registry, name string) uint64 {
 	for _, s := range reg.Snapshot() {
 		if s.Name == name && s.Value != nil {
 			return uint64(*s.Value)
-		}
-	}
-	return 0
-}
-
-// sumSeries sums a labelled family's children (0 if absent).
-func sumSeries(reg *obs.Registry, name string) uint64 {
-	for _, s := range reg.Snapshot() {
-		if s.Name == name && s.Series != nil {
-			var sum float64
-			for _, v := range s.Series {
-				sum += v
-			}
-			return uint64(sum)
 		}
 	}
 	return 0
